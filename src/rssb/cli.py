@@ -29,17 +29,18 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .dsp import FilterDesignError, FilterSpec, is_uniform, preprocess, resample_uniform
-from .estimators import (DftConfig, EstimateSeries, EstimatorError, GpConfig,
-                         KfConfig, dft_estimate, gp_estimate, kf_estimate)
-from .evaluation import compute_metrics, snr_estimate, snr_sweep
+from .dsp import FilterDesignError, FilterSpec, preprocess
+from .estimators import EstimateSeries, EstimatorError
+from .evaluation import (compute_metrics, snr_estimate, snr_sweep,
+                         write_sweep_csv)
 from .figures import FIGURES
+from .pipeline import ESTIMATORS, estimate, uniform_samples
 from .presets import PRESETS, preset_scenario
 from .simulator import (RssTrace, ScenarioError, scenario_from_dict,
                         scenario_to_dict, synthesize, to_absolute)
 
 ESTIMATES_HEADER = "time_s,method,f_hat_hz"
-METHODS = ("dft", "kf", "gp")
+METHODS = tuple(ESTIMATORS)
 
 
 # --- shared plumbing --------------------------------------------------------
@@ -96,7 +97,11 @@ def _resolve_scenario(args):
 
 
 def _estimator_settings(args):
-    """Filter and per-method configs from --config/--set sections."""
+    """Filter spec, per-method configs and the raw settings.
+
+    Read from the ``filter`` section and one section per method of
+    --config, after the --set overrides.
+    """
     data = _load_json(args.config) if args.config else {}
     _apply_overrides(data, args.overrides)
 
@@ -110,8 +115,10 @@ def _estimator_settings(args):
         except TypeError as exc:
             raise ValueError(f"bad {section} settings: {exc}") from exc
 
-    return (build(FilterSpec, "filter"), build(DftConfig, "dft"),
-            build(KfConfig, "kf"), build(GpConfig, "gp"), data)
+    filter_spec = build(FilterSpec, "filter")
+    configs = {method: build(config_cls, method)
+               for method, (_, config_cls) in ESTIMATORS.items()}
+    return filter_spec, configs, data
 
 
 def _write_manifest(primary_out, command, config, seed, outputs):
@@ -156,24 +163,10 @@ def cmd_estimate(args):
     trace = RssTrace.load_csv(args.trace)
     channel = _pick_channel(trace, args.channel)
     t, values = trace.for_channel(channel)
-    filter_spec, dft_cfg, kf_cfg, gp_cfg, data = _estimator_settings(args)
-    fs = trace.nominal_rate_hz()
+    filter_spec, configs, data = _estimator_settings(args)
     methods = METHODS if args.method == "all" else (args.method,)
-
-    results = {}
-    if "dft" in methods:
-        if is_uniform(t):
-            t_grid, v_grid = t, values
-        else:
-            t_grid, v_grid = resample_uniform(t, values, fs)
-        y, _ = preprocess(v_grid, filter_spec, fs)
-        results["dft"] = dft_estimate(t_grid, y, dft_cfg)
-    if "kf" in methods or "gp" in methods:
-        _, z = preprocess(values, filter_spec, fs)
-        if "kf" in methods:
-            results["kf"] = kf_estimate(t, z, kf_cfg)
-        if "gp" in methods:
-            results["gp"] = gp_estimate(t, z, gp_cfg)
+    results = estimate(t, values, trace.nominal_rate_hz(), methods, configs,
+                       filter_spec)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -190,7 +183,8 @@ def cmd_estimate(args):
             raise ValueError("--spectrogram requires the dft method")
         series = results["dft"]
         freqs = series.aux["freq_hz"]
-        band = (freqs >= dft_cfg.band_hz[0]) & (freqs <= dft_cfg.band_hz[1])
+        lo, hi = configs["dft"].band_hz
+        band = (freqs >= lo) & (freqs <= hi)
         with open(args.spectrogram, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["window_end_s", "f_hz", "psd"])
@@ -234,8 +228,7 @@ def cmd_evaluate(args):
         trace = RssTrace.load_csv(args.trace)
         t, values = trace.for_channel(_pick_channel(trace, args.channel))
         fs = trace.nominal_rate_hz()
-        if not is_uniform(t):
-            t, values = resample_uniform(t, values, fs)
+        _, values = uniform_samples(t, values, fs)
         y, _ = preprocess(values, FilterSpec(), fs)
         snr_db = snr_estimate(y, fs, args.true_freq_hz)
 
@@ -266,12 +259,7 @@ def cmd_sweep(args):
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     rows = snr_sweep(scenario, targets, n_seeds=args.seeds, methods=methods,
                      jobs=args.jobs)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "method", "hit_ratio_pct"])
-        for row in rows:
-            writer.writerow([row["snr_db"], row["method"],
-                             f"{row['hit_ratio_pct']:.2f}"])
+    write_sweep_csv(rows, args.out)
     config = {"scenario": data, "snr_targets_db": targets,
               "n_seeds": args.seeds, "methods": list(methods)}
     _write_manifest(args.out, "sweep", config, None, [args.out])

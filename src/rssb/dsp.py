@@ -74,13 +74,11 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz) -> np.ndarray:
     return sos
 
 
-def preprocess(values, spec: FilterSpec, sample_rate_hz, streaming_mean=False):
+def preprocess(values, spec: FilterSpec, sample_rate_hz):
     """Low-pass a raw RSS stream into the (y, z) estimator inputs.
 
     ``z`` is the filtered stream with its DC level intact and ``y``
-    the filtered stream after mean removal.  The mean is the batch mean
-    by default; ``streaming_mean=True`` subtracts the running mean
-    instead, for sample-by-sample operation.  Input samples are
+    the filtered stream after batch mean removal.  Input samples are
     processed in stream order and assumed close to the nominal rate;
     resample first if the timestamps are materially uneven.
 
@@ -95,11 +93,7 @@ def preprocess(values, spec: FilterSpec, sample_rate_hz, streaming_mean=False):
         raise ValueError("values must not be empty")
     sos = design_lowpass(spec, sample_rate_hz)
     z = signal.sosfilt(sos, values)
-    if streaming_mean:
-        running = np.cumsum(values) / np.arange(1, len(values) + 1)
-        y = signal.sosfilt(sos, values - running)
-    else:
-        y = signal.sosfilt(sos, values - values.mean())
+    y = signal.sosfilt(sos, values - values.mean())
     return y, z
 
 

@@ -6,14 +6,14 @@ frequency grid (`kf_estimate`), and a quasi-periodic Gaussian-process
 state-space tracker with an unknown log-frequency (`gp_estimate`).
 """
 
-from .common import EstimateSeries, EstimatorError, reconstruct_signal
+from .common import EstimateSeries, EstimatorError
 from .dft import DftConfig, dft_estimate
 from .kf import KfConfig, kf_estimate
 from .gp import (GpConfig, gp_estimate, kernel_cosine_truncation,
                  kernel_cosine_weights, periodic_kernel)
 
 __all__ = [
-    "EstimateSeries", "EstimatorError", "reconstruct_signal",
+    "EstimateSeries", "EstimatorError",
     "DftConfig", "dft_estimate",
     "KfConfig", "kf_estimate",
     "GpConfig", "gp_estimate", "periodic_kernel",

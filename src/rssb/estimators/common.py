@@ -36,18 +36,3 @@ class EstimateSeries:
         """Estimates with timestamps strictly greater than ``t_s``."""
         mask = self.times_s > t_s
         return self.times_s[mask], self.f_hat_hz[mask]
-
-
-def reconstruct_signal(series: EstimateSeries, mean_db=0.0):
-    """Modeled signal aligned with the estimate timestamps.
-
-    The trackers store their filtered reconstruction directly; the
-    periodogram method rebuilds the dominant tone of each window and
-    needs the previously subtracted mean added back through
-    ``mean_db``.
-    """
-    if series.method in ("kf", "gp"):
-        return series.aux["recon"].copy()
-    if series.method == "dft":
-        return series.aux["recon"] + mean_db
-    raise ValueError(f"cannot reconstruct signal for method {series.method!r}")

@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from ..rss_model import bessel_i_modified
 from .common import EstimateSeries, EstimatorError
 
 
@@ -52,7 +52,7 @@ def kernel_cosine_weights(kernel_var, lengthscale, n_harmonics):
     inv_l2 = 1.0 / lengthscale ** 2
     scale = kernel_var * math.exp(-inv_l2)
     n = np.arange(1, n_harmonics + 1)
-    return scale * bessel_i_modified(0, inv_l2), 2 * scale * bessel_i_modified(n, inv_l2)
+    return scale * special.iv(0, inv_l2), 2 * scale * special.iv(n, inv_l2)
 
 
 def kernel_cosine_truncation(kernel_var, lengthscale, freq_hz, n_harmonics,

@@ -7,15 +7,14 @@ a harmonic when judging fine accuracy, mirroring how the reference
 results are reported.
 """
 
+import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .dsp import FilterSpec, preprocess
-from .estimators import (DftConfig, GpConfig, KfConfig, dft_estimate,
-                         gp_estimate, kf_estimate)
+from .pipeline import estimate
 from .rss_model import log_harmonics, reflection_state
 from .simulator import ScenarioConfig, synthesize
 
@@ -190,7 +189,6 @@ def inband_signal_power(scenario: ScenarioConfig, band_hz=SNR_BAND_HZ,
     channel: sum of c_m**2 / 2 over harmonics whose tone lies in the
     band.
     """
-    from dataclasses import replace
     medium = replace(scenario.medium,
                      wavelength_m=scenario.channel_wavelengths_m()[0])
     state = reflection_state(scenario.link, scenario.motion, medium)
@@ -219,35 +217,13 @@ def noise_std_for_snr(scenario: ScenarioConfig, snr_db,
     return math.sqrt(p_sig * 10 ** (-snr_db / 10))
 
 
-def _run_methods(scenario, seed, methods, dft_cfg, kf_cfg, gp_cfg,
-                 filter_spec):
-    trace = synthesize(scenario, seed=seed)
-    channel = trace.channels()[0]
-    t, values = trace.for_channel(channel)
-    fs = scenario.sample_rate_hz
-    y, z = preprocess(values, filter_spec, fs)
-    out = {}
-    for method in methods:
-        if method == "dft":
-            out[method] = dft_estimate(t, y, dft_cfg)
-        elif method == "kf":
-            out[method] = kf_estimate(t, z, kf_cfg)
-        elif method == "gp":
-            out[method] = gp_estimate(t, z, gp_cfg)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    return out
-
-
 def _sweep_cell(args):
-    (scenario_dict, snr_db, seed, methods, settle_s, tol_bpm) = args
-    from .simulator import scenario_from_dict
-    from dataclasses import replace
-    scenario = scenario_from_dict(scenario_dict)
+    (scenario, snr_db, seed, methods, settle_s, tol_bpm) = args
     sigma = noise_std_for_snr(scenario, snr_db)
     scenario = replace(scenario, noise_std_db=sigma)
-    runs = _run_methods(scenario, seed, methods, DftConfig(), KfConfig(),
-                        GpConfig(), FilterSpec())
+    trace = synthesize(scenario, seed=seed)
+    t, values = trace.for_channel(trace.channels()[0])
+    runs = estimate(t, values, scenario.sample_rate_hz, methods)
     true_hz = scenario.motion.breath_freq_hz
     cell = {}
     for method, series in runs.items():
@@ -266,8 +242,7 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
     estimates.  Returns a list of ``{"snr_db", "method",
     "hit_ratio_pct"}`` rows, seed-averaged, ordered by SNR then method.
     """
-    from .simulator import scenario_to_dict
-    tasks = [(scenario_to_dict(template), float(snr), seed, tuple(methods),
+    tasks = [(template, float(snr), seed, tuple(methods),
               settle_s, tol_bpm)
              for snr in snr_targets_db for seed in range(n_seeds)]
     if jobs > 1:
@@ -288,3 +263,13 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
             rows.append({"snr_db": snr, "method": method,
                          "hit_ratio_pct": float(np.mean(hits))})
     return rows
+
+
+def write_sweep_csv(rows, path):
+    """Write ``snr_sweep`` rows as ``snr_db,method,hit_ratio_pct`` CSV."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["snr_db", "method", "hit_ratio_pct"])
+        for row in rows:
+            writer.writerow([row["snr_db"], row["method"],
+                             f"{row['hit_ratio_pct']:.2f}"])

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import presets, svgplot
-from .evaluation import snr_sweep
+from .evaluation import snr_sweep, write_sweep_csv
 from .rss_model import log_harmonics, ratio_db_exact, reflection_state, signal_energy_approx
 from .simulator import synthesize
 
@@ -119,12 +119,7 @@ def make_fig6c(outdir, snr_targets_db=None, n_seeds=10, jobs=1):
     template = presets.bed_scenario(quantization_db=0.0)
     rows = snr_sweep(template, snr_targets_db, n_seeds=n_seeds, jobs=jobs)
     csv_path = f"{outdir}/fig6c_snr_sweep.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["snr_db", "method", "hit_ratio_pct"])
-        for row in rows:
-            w.writerow([row["snr_db"], row["method"],
-                        f"{row['hit_ratio_pct']:.2f}"])
+    write_sweep_csv(rows, csv_path)
     svg_path = f"{outdir}/fig6c_snr_sweep.svg"
     series = []
     for method in ("dft", "kf", "gp"):

@@ -35,20 +35,6 @@ DEFAULT_SERIES_ORDER = 50
 """Default truncation of the log-scale coefficient series over i."""
 
 
-def bessel_j(order, x):
-    """Bessel function of the first kind for integer orders.
-
-    Satisfies J_m(-x) = (-1)**m * J_m(x), which the expansions below
-    rely on when the motion projection is negative.
-    """
-    return special.jv(order, x)
-
-
-def bessel_i_modified(order, x):
-    """Modified Bessel function of the first kind for integer orders."""
-    return special.iv(order, x)
-
-
 def dilog(x):
     """Dilogarithm Li_2(x) = sum_{i>=1} x**i / i**2 on [0, 1].
 
@@ -225,10 +211,12 @@ def linear_harmonics(state: ReflectionState, truncation_m=2) -> HarmonicModel:
     g = state.reflection
     a, psi = state.mod_index_rad, state.static_phase_rad
     m = np.arange(1, truncation_m + 1)
-    jm = bessel_j(m, a)
+    # a < 0 when the motion projection is negative; the expansions rely
+    # on J_m(-x) = (-1)**m * J_m(x), which special.jv satisfies
+    jm = special.jv(m, a)
     coeffs = np.where(m % 2 == 1, 4 * g * jm * np.sin(psi),
                       -4 * g * jm * np.cos(psi))
-    dc = 1 + g * g - 2 * g * bessel_j(0, a) * np.cos(psi)
+    dc = 1 + g * g - 2 * g * special.jv(0, a) * np.cos(psi)
     odd, even = _split_parity(coeffs)
     return HarmonicModel("linear", state.breath_freq_hz, float(dc),
                          odd, even, truncation_m)
@@ -258,10 +246,11 @@ def log_harmonics(state: ReflectionState, truncation_m=2,
     a, psi = state.mod_index_rad, state.static_phase_rad
     i = np.arange(1, series_order + 1, dtype=float)
     weight = g ** i / i
-    dc = -2 * DB_PER_LN * np.sum(bessel_j(0, i * a) * weight * np.cos(i * psi))
+    dc = -2 * DB_PER_LN * np.sum(special.jv(0, i * a) * weight
+                                 * np.cos(i * psi))
     coeffs = np.empty(truncation_m)
     for m in range(1, truncation_m + 1):
-        jm = bessel_j(m, i * a)
+        jm = special.jv(m, i * a)
         if m % 2:
             coeffs[m - 1] = 4 * DB_PER_LN * np.sum(jm * weight * np.sin(i * psi))
         else:
@@ -339,13 +328,13 @@ def carson_truncation(mod_index_rad, breath_freq_hz) -> int:
     a = abs(float(mod_index_rad))
     if a == 0:
         return 1
-    total = (1 - bessel_j(0, a) ** 2) / 2
+    total = (1 - special.jv(0, a) ** 2) / 2
     target = 0.98 * total
     cum = 0.0
     m = 0
     while cum < target:
         m += 1
-        cum += bessel_j(m, a) ** 2
+        cum += special.jv(m, a) ** 2
         if m > 1000:
             raise RuntimeError("harmonic energy accumulation failed to converge")
     return max(2, m)

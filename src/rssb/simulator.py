@@ -116,12 +116,19 @@ class RssTrace:
         return 1.0 / float(np.median(np.diff(t)))
 
     def save_csv(self, path):
+        """Write the trace in time order; floats reload bit-identical.
+
+        ``repr`` of a Python float is the shortest string that parses
+        back to the same double, so a saved trace keeps its exact time
+        base (and with it ``is_uniform``) and its exact values.
+        """
         order = np.lexsort((self.channel_ids, self.times_s))
+        rows = zip(self.times_s[order].tolist(),
+                   self.channel_ids[order].astype(int).tolist(),
+                   self.values_db[order].tolist())
         with open(path, "w") as fh:
             fh.write("time_s,channel_id,rss_db\n")
-            for k in order:
-                fh.write(f"{self.times_s[k]:.6f},{int(self.channel_ids[k])},"
-                         f"{self.values_db[k]:.9g}\n")
+            fh.writelines(f"{t!r},{c},{v!r}\n" for t, c, v in rows)
 
     @classmethod
     def load_csv(cls, path, scale="relative"):
@@ -147,20 +154,6 @@ class RssTrace:
             raise ValueError(f"{path}: trace contains no samples")
         return cls(np.asarray(times), np.asarray(chans, dtype=int),
                    np.asarray(vals), scale=scale)
-
-
-def baseline_model(noise_ratio, variance) -> float:
-    """Unperturbed received power 10*log10(2*sigma^2 + rho*sigma^2) in dBm.
-
-    ``variance`` is the per-quadrature variance sigma^2 of the static
-    channel gain and ``noise_ratio`` the rho of the measurement noise
-    floor relative to it.
-    """
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    if noise_ratio < 0:
-        raise ValueError("noise_ratio must be non-negative")
-    return float(10 * np.log10(2 * variance + noise_ratio * variance))
 
 
 def _trajectory_db(scenario: ScenarioConfig, wavelength_m, t):

@@ -15,10 +15,10 @@ from scipy import signal as sps
 from scipy import special
 
 from rssb.dsp import FilterSpec, design_lowpass, preprocess
-from rssb.estimators import (DftConfig, GpConfig, KfConfig, dft_estimate,
-                             gp_estimate, kf_estimate)
+from rssb.estimators import GpConfig
 from rssb.evaluation import (convergence_split, convergence_time_s, snr_sweep)
 from rssb.figures import truncation_rmse
+from rssb.pipeline import estimate
 from rssb.presets import (bed_scenario, drifting_scenario, midline_scenario,
                           second_harmonic_scenario)
 from rssb.rss_model import (ReflectionState, dilog, linear_harmonics,
@@ -49,18 +49,9 @@ def modulation_state(reflection, mod_index_rad, static_phase_rad,
     )
 
 
-def run_estimators(scenario, methods=METHODS):
+def first_channel(scenario):
     trace = synthesize(scenario)
-    t, values = trace.for_channel(trace.channels()[0])
-    y, z = preprocess(values, FilterSpec(), scenario.sample_rate_hz)
-    results = {}
-    if "dft" in methods:
-        results["dft"] = dft_estimate(t, y, DftConfig())
-    if "kf" in methods:
-        results["kf"] = kf_estimate(t, z, KfConfig())
-    if "gp" in methods:
-        results["gp"] = gp_estimate(t, z, GpConfig())
-    return results
+    return trace.for_channel(trace.channels()[0])
 
 
 def late_mean_bpm(series, settle_s=30.0):
@@ -114,8 +105,7 @@ def test_03_parity_suppression():
 def test_04_frozen_trace_reproduces_coefficients():
     scenario = midline_scenario(1.25 * 0.125, breath_freq_hz=0.25,
                                 duration_s=20.0, model="frozen")
-    trace = synthesize(scenario)
-    _, values = trace.for_channel(trace.channels()[0])
+    _, values = first_channel(scenario)
     n = len(values)
     # 20 s at 0.25 Hz holds exactly five breathing periods, so each
     # harmonic m lands on rfft bin 5m with no leakage
@@ -182,7 +172,9 @@ def test_08_bed_accuracy_and_convergence():
     converged = {"kf": 0, "gp": 0}
     f_true = bed_scenario().motion.breath_freq_hz
     for seed in range(n_seeds):
-        results = run_estimators(replace(bed_scenario(), seed=seed))
+        scenario = replace(bed_scenario(), seed=seed)
+        results = estimate(*first_channel(scenario),
+                           scenario.sample_rate_hz, METHODS)
         for method, series in results.items():
             _, late = convergence_split(series.times_s, series.f_hat_hz,
                                         f_true)
@@ -213,7 +205,8 @@ def test_09_half_wavelength_geometry_splits_methods():
     # the 2f coefficient before it commits
     settle_s = base.duration_s - 30.0
     for seed in range(n_seeds):
-        results = run_estimators(replace(base, seed=seed))
+        results = estimate(*first_channel(replace(base, seed=seed)),
+                           base.sample_rate_hz, METHODS)
         dft_bpm = late_mean_bpm(results["dft"], settle_s)
         kf_bpm = late_mean_bpm(results["kf"], settle_s)
         gp_bpm = late_mean_bpm(results["gp"], settle_s)
@@ -252,12 +245,12 @@ def test_11_gp_reconstruction_improves_with_harmonics():
     errors = {order: [] for order in (1, 2, 3)}
     base = second_harmonic_scenario()
     for seed in range(n_seeds):
-        trace = synthesize(replace(base, seed=seed))
-        t, values = trace.for_channel(trace.channels()[0])
+        t, values = first_channel(replace(base, seed=seed))
         _, z = preprocess(values, FilterSpec(), base.sample_rate_hz)
         settled = t > 30.0
         for order in errors:
-            series = gp_estimate(t, z, GpConfig(n_harmonics=order))
+            series = estimate(t, values, base.sample_rate_hz, ("gp",),
+                              {"gp": GpConfig(n_harmonics=order)})["gp"]
             recon = series.aux["recon"]
             errors[order].append(
                 float(np.mean(np.abs(recon[settled] - z[settled]))))
@@ -270,8 +263,7 @@ def test_11_gp_reconstruction_improves_with_harmonics():
 
 def test_12_moving_reflector_shifts_dominant_tone():
     scenario = drifting_scenario()
-    trace = synthesize(scenario)
-    _, values = trace.for_channel(trace.channels()[0])
+    _, values = first_channel(scenario)
     x = values - values.mean()
     power = np.abs(np.fft.rfft(x)) ** 2
     freqs = np.fft.rfftfreq(len(x), 1.0 / scenario.sample_rate_hz)

@@ -85,13 +85,6 @@ def test_mean_removal_offsets_the_same_filter():
     assert np.allclose(y[tail], z[tail] - x.mean(), atol=1e-6)
 
 
-def test_streaming_mean_variant_runs():
-    _, x = tone(0.2, duration_s=20.0)
-    y, z = preprocess(x + 4.0, FilterSpec(), FS, streaming_mean=True)
-    assert len(y) == len(z) == len(x)
-    assert abs(np.mean(y[len(y) // 2:])) < 0.2
-
-
 def test_preprocess_validation():
     with pytest.raises(ValueError):
         preprocess(np.zeros((3, 3)), FilterSpec(), FS)

@@ -157,8 +157,10 @@ def test_noise_calibration_round_trip():
         scenario.noise_std_db, abs=0.005)
 
 
-def test_snr_sweep_smoke():
-    template = bed_scenario(duration_s=40.0)
+@pytest.mark.parametrize("drop_prob", [0.0, 0.1])
+def test_snr_sweep_smoke(drop_prob):
+    # with drops the dft runs on a resampled grid
+    template = bed_scenario(duration_s=40.0, drop_prob=drop_prob)
     rows = snr_sweep(template, [0.0], n_seeds=2, methods=("dft",),
                      settle_s=30.0)
     assert len(rows) == 1

@@ -14,7 +14,7 @@ from scipy import special
 
 from rssb.presets import DESK_LINK, DESK_MEDIUM, bed_scenario, midline_scenario
 from rssb.rss_model import (DB_PER_LN, HarmonicModel, ReflectionState,
-                            bessel_j, carson_truncation, dilog,
+                            carson_truncation, dilog,
                             linear_harmonics, log_harmonics,
                             log_series_coefficients, moving_harmonics,
                             ratio_db_exact, ratio_exact, reflection_state,
@@ -317,12 +317,12 @@ def test_carson_truncation_cases():
 
 
 def test_bessel_identities():
-    assert bessel_j(0, 0.0) == 1.0
+    assert special.jv(0, 0.0) == 1.0
     for m in range(1, 6):
-        assert bessel_j(m, 0.0) == 0.0
+        assert special.jv(m, 0.0) == 0.0
     x = 0.8
-    total = bessel_j(0, x) ** 2 + 2 * sum(
-        bessel_j(m, x) ** 2 for m in range(1, 21))
+    total = special.jv(0, x) ** 2 + 2 * sum(
+        special.jv(m, x) ** 2 for m in range(1, 21))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 

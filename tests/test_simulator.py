@@ -4,12 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rssb.dsp import is_uniform
 from rssb.geometry import C_LIGHT, DegenerateGeometryError, LinkGeometry
 from rssb.presets import bed_scenario, midline_scenario
 from rssb.rss_model import log_harmonics, ratio_db_exact, reflection_state
 from rssb.simulator import (RssTrace, ScenarioConfig, ScenarioError,
-                            baseline_model, default_channels_hz,
+                            default_channels_hz,
                             load_scenario, save_scenario, scenario_from_dict,
                             scenario_to_dict, synthesize, to_absolute)
 
@@ -113,15 +116,6 @@ def test_drop_probability():
     assert trace.nominal_rate_hz() == pytest.approx(s.sample_rate_hz)
 
 
-def test_baseline_model():
-    assert baseline_model(0.0, 0.7) == pytest.approx(10 * np.log10(1.4))
-    assert baseline_model(2.0, 0.5) == pytest.approx(3.0103, abs=1e-4)
-    with pytest.raises(ValueError):
-        baseline_model(-0.5, 1.0)
-    with pytest.raises(ValueError):
-        baseline_model(0.5, 0.0)
-
-
 def test_to_absolute_is_exact_offset():
     s = bed_scenario(duration_s=2.0, baseline_dbm=-41.7)
     rel = synthesize(s)
@@ -173,6 +167,25 @@ def test_csv_round_trip(tmp_path):
         t1, v1 = loaded.for_channel(cid)
         assert np.allclose(t0, t1, atol=1e-6)
         assert np.allclose(v0, v1, rtol=1e-8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rate_hz=st.sampled_from([10.0, 25.0, 30.0, 31.25, 50.0]),
+       drop_prob=st.sampled_from([0.0, 0.1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_csv_round_trip_is_exact(tmp_path_factory, rate_hz, drop_prob, seed):
+    trace = synthesize(bed_scenario(duration_s=20.0, sample_rate_hz=rate_hz,
+                                    quantization_db=0.0, drop_prob=drop_prob,
+                                    seed=seed))
+    path = tmp_path_factory.mktemp("csv") / "trace.csv"
+    trace.save_csv(path)
+    loaded = RssTrace.load_csv(path)
+    assert np.array_equal(loaded.times_s, trace.times_s)
+    assert np.array_equal(loaded.channel_ids, trace.channel_ids)
+    assert np.array_equal(loaded.values_db, trace.values_db)
+    t0, _ = trace.for_channel(0)
+    t1, _ = loaded.for_channel(0)
+    assert is_uniform(t1) == is_uniform(t0)
 
 
 def test_csv_load_reports_malformed_rows(tmp_path):
