@@ -181,15 +181,12 @@ def cmd_estimate(args):
     if args.spectrogram:
         if "dft" not in results:
             raise ValueError("--spectrogram requires the dft method")
-        series = results["dft"]
-        freqs = series.aux["freq_hz"]
-        lo, hi = configs["dft"].band_hz
-        band = (freqs >= lo) & (freqs <= hi)
+        series = results["dft"]  # psd holds the search band only
         with open(args.spectrogram, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["window_end_s", "f_hz", "psd"])
             for k, end_s in enumerate(series.times_s):
-                for f, p in zip(freqs[band], series.aux["psd"][k][band]):
+                for f, p in zip(series.aux["freq_hz"], series.aux["psd"][k]):
                     writer.writerow([f"{end_s:.6f}", f"{f:.9g}", f"{p:.9g}"])
         outputs.append(args.spectrogram)
 

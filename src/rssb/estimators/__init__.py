@@ -8,14 +8,14 @@ state-space tracker with an unknown log-frequency (`gp_estimate`).
 
 from .common import EstimateSeries, EstimatorError
 from .dft import DftConfig, dft_estimate
-from .kf import KfConfig, kf_estimate
+from .kf import KfConfig, kf_estimate, kf_estimate_batch
 from .gp import (GpConfig, gp_estimate, kernel_cosine_truncation,
                  kernel_cosine_weights, periodic_kernel)
 
 __all__ = [
     "EstimateSeries", "EstimatorError",
     "DftConfig", "dft_estimate",
-    "KfConfig", "kf_estimate",
+    "KfConfig", "kf_estimate", "kf_estimate_batch",
     "GpConfig", "gp_estimate", "periodic_kernel",
     "kernel_cosine_weights", "kernel_cosine_truncation",
 ]

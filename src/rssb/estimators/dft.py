@@ -4,15 +4,22 @@ Each window of the mean-removed signal ``y`` is zero-padded to a fixed
 DFT length and the breathing rate read off as the frequency of the
 largest in-band PSD bin.  No taper is applied; the window advances by
 ``hop_samples`` (one sample reproduces the reference configuration of
-a 30 s window with maximum overlap).
+a 30 s window with maximum overlap).  The windows are transformed in
+blocks, one ``rfft`` call per block, and only the in-band bins are kept.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dsp import is_uniform
 from .common import EstimateSeries, EstimatorError
+
+# Windows per rfft call: a block's padded input and full spectrum stay
+# near 1 MB each at the default 2048-point DFT.  Timings on a bed trace
+# were flat from 16 to 512.
+_WINDOWS_PER_FFT = 64
 
 
 @dataclass(frozen=True)
@@ -57,9 +64,10 @@ def dft_estimate(times_s, y, cfg: DftConfig = DftConfig()) -> EstimateSeries:
     -------
     EstimateSeries
         One estimate per window, stamped at the window's last sample.
-        ``aux`` carries the spectrogram (``psd``, ``freq_hz``) and the
-        per-window dominant-tone reconstruction (``recon``), evaluated
-        at the window end.
+        ``aux`` carries the spectrogram of the search band (``psd``,
+        one row per window, and its ``freq_hz``; bins outside
+        ``band_hz`` are not kept) and the per-window dominant-tone
+        reconstruction (``recon``), evaluated at the window end.
     """
     times_s = np.asarray(times_s, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -86,25 +94,25 @@ def dft_estimate(times_s, y, cfg: DftConfig = DftConfig()) -> EstimateSeries:
     if not np.any(band):
         raise EstimatorError("search band contains no DFT bins")
     band_idx = np.flatnonzero(band)
+    in_band = slice(band_idx[0], band_idx[-1] + 1)  # freqs increase
+    band_freqs = freqs[in_band]
 
     starts = np.arange(0, len(y) - nw + 1, cfg.hop_samples)
-    psd = np.empty((len(starts), len(freqs)))
-    f_hat = np.empty(len(starts))
-    recon = np.empty(len(starts))
-    t_out = np.empty(len(starts))
-    for j, s in enumerate(starts):
-        seg = y[s:s + nw]
-        spec = np.fft.rfft(seg, cfg.n_dft)
-        psd[j] = np.abs(spec) ** 2
-        peak = band_idx[np.argmax(psd[j, band_idx])]  # first max: lower f wins
-        f_hat[j] = freqs[peak]
-        amp = 2 * np.abs(spec[peak]) / nw
-        phase = np.angle(spec[peak])
-        recon[j] = amp * np.cos(2 * np.pi * f_hat[j] * (nw - 1) / fs + phase)
-        t_out[j] = times_s[s + nw - 1]
+    windows = sliding_window_view(y, nw)[::cfg.hop_samples]
+    spec = np.empty((len(starts), len(band_freqs)), dtype=complex)
+    for j in range(0, len(starts), _WINDOWS_PER_FFT):
+        block = windows[j:j + _WINDOWS_PER_FFT]
+        spec[j:j + len(block)] = np.fft.rfft(block, cfg.n_dft)[:, in_band]
+    psd = np.abs(spec) ** 2
+    peak = np.argmax(psd, axis=1)  # first max: lower f wins
+    f_hat = band_freqs[peak]
+    peak_spec = spec[np.arange(len(starts)), peak]
+    amp = 2 * np.abs(peak_spec) / nw
+    phase = np.angle(peak_spec)
+    recon = amp * np.cos(2 * np.pi * f_hat * (nw - 1) / fs + phase)
 
     return EstimateSeries(
-        method="dft", times_s=t_out, f_hat_hz=f_hat,
-        aux={"psd": psd, "freq_hz": freqs, "recon": recon,
+        method="dft", times_s=times_s[starts + nw - 1], f_hat_hz=f_hat,
+        aux={"psd": psd, "freq_hz": band_freqs, "recon": recon,
              "window_start_s": times_s[starts], "sample_rate_hz": fs},
     )

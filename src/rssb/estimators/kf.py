@@ -6,6 +6,11 @@ walks.  The observation row is built from the actual sample timestamps,
 so unevenly spaced or missing samples need no special handling.  The
 rate estimate is the grid frequency whose coefficient pair currently
 has the largest amplitude.
+
+The covariance and gain recursion depends only on the timestamps and
+the config, never on ``z``.  :func:`kf_estimate_batch` therefore runs it
+once for any number of streams sampled at the same times and steps all
+their states together; :func:`kf_estimate` is the batch of one.
 """
 
 from dataclasses import dataclass
@@ -56,11 +61,22 @@ def kf_estimate(times_s, z, cfg: KfConfig = KfConfig()) -> EstimateSeries:
     (``peak_amp``), a low-amplitude flag array, the DC history and the
     final coefficient amplitudes per grid frequency.
     """
+    return kf_estimate_batch(times_s, [z], cfg)[0]
+
+
+def kf_estimate_batch(times_s, rows, cfg: KfConfig = KfConfig()):
+    """:func:`kf_estimate` on every stream in ``rows``, sampled at ``times_s``.
+
+    The covariance recursion runs once and the states of all rows step
+    together as one (rows, 2 * n_bins + 1) matrix.  Each row's series is
+    bit for bit the one :func:`kf_estimate` gives on that row alone; the
+    series share one ``final_cov`` array.
+    """
     times_s = np.asarray(times_s, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if len(times_s) != len(z):
+    z = np.asarray(rows, dtype=float)
+    if z.ndim != 2 or z.shape[1] != len(times_s):
         raise EstimatorError("times and values must have equal length")
-    if len(z) == 0:
+    if len(times_s) == 0:
         raise EstimatorError("empty input")
     if not np.all(np.isfinite(z)):
         raise EstimatorError("measurements must be finite")
@@ -70,48 +86,60 @@ def kf_estimate(times_s, z, cfg: KfConfig = KfConfig()) -> EstimateSeries:
     grid = cfg.grid_hz()
     nb = cfg.n_bins
     dim = 2 * nb + 1
+    n_rows, n = z.shape
 
     # Observation rows for all samples at once; column layout is
     # [dc, sin terms, cos terms].
     phase = 2 * np.pi * np.outer(times_s, grid)
-    g_all = np.empty((len(z), dim))
+    g_all = np.empty((n, dim))
     g_all[:, 0] = 1.0
     g_all[:, 1:nb + 1] = np.sin(phase)
     g_all[:, nb + 1:] = np.cos(phase)
 
-    x = np.zeros(dim)
-    x[0] = z[0]
+    x = np.zeros((n_rows, dim))
+    x[:, 0] = z[:, 0]
     p = np.eye(dim) * cfg.init_cov
+    p_diag = p.reshape(-1)[::dim + 1]  # a view: writes go to p
+    pg = np.empty(dim)
+    buf = np.empty_like(p)
 
-    f_hat = np.empty(len(z))
-    recon = np.empty(len(z))
-    peak_amp = np.empty(len(z))
-    dc = np.empty(len(z))
+    f_hat = np.empty((n_rows, n))
+    recon = np.empty((n_rows, n))
+    peak_amp = np.empty((n_rows, n))
+    dc = np.empty((n_rows, n))
+    row_idx = np.arange(n_rows)
     q = cfg.process_var
 
-    for k in range(len(z)):
+    # x @ g would be one gemv over all rows, which sums in another order
+    # than the dot product a single row gets; vecdot keeps one dot per row.
+    for k in range(n):
         if k > 0:
-            p[np.diag_indices_from(p)] += q  # random walk: F = I
+            p_diag += q  # random walk: F = I
         g = g_all[k]
-        pg = p @ g
-        s = float(g @ pg) + cfg.meas_var
-        gain = pg / s
-        x = x + gain * (z[k] - float(g @ x))
-        p = p - np.outer(gain, pg)
-        p = (p + p.T) / 2
+        np.matmul(p, g, out=pg)
+        gain = pg / (float(g @ pg) + cfg.meas_var)
+        x += (z[:, k] - np.vecdot(x, g))[:, None] * gain
+        # p = (d + d.T) / 2 with d = p - outer(gain, pg), in place; the
+        # transposed copy is faster than adding p.T, and * 0.5 is exact
+        np.copyto(buf, gain[:, None])
+        buf *= pg
+        p -= buf
+        np.copyto(buf, p.T)
+        buf += p
+        np.multiply(buf, 0.5, out=p)
 
-        amps = np.hypot(x[1:nb + 1], x[nb + 1:])
-        best = int(np.argmax(amps))  # first max: lower f wins
-        f_hat[k] = grid[best]
-        peak_amp[k] = amps[best]
-        recon[k] = float(g @ x)
-        dc[k] = x[0]
+        amps = np.hypot(x[:, 1:nb + 1], x[:, nb + 1:])
+        best = np.argmax(amps, axis=1)  # first max: lower f wins
+        f_hat[:, k] = grid[best]
+        peak_amp[:, k] = amps[row_idx, best]
+        recon[:, k] = np.vecdot(x, g)
+        dc[:, k] = x[:, 0]
 
-    return EstimateSeries(
-        method="kf", times_s=times_s.copy(), f_hat_hz=f_hat,
-        aux={"recon": recon, "peak_amp": peak_amp,
-             "low_amplitude": peak_amp < cfg.amp_floor,
-             "dc": dc, "grid_hz": grid,
-             "final_amplitudes": np.hypot(x[1:nb + 1], x[nb + 1:]),
-             "final_state": x, "final_cov": p},
-    )
+    return [EstimateSeries(
+        method="kf", times_s=times_s.copy(), f_hat_hz=f_hat[r],
+        aux={"recon": recon[r], "peak_amp": peak_amp[r],
+             "low_amplitude": peak_amp[r] < cfg.amp_floor,
+             "dc": dc[r], "grid_hz": grid,
+             "final_amplitudes": np.hypot(x[r, 1:nb + 1], x[r, nb + 1:]),
+             "final_state": x[r], "final_cov": p},
+    ) for r in range(n_rows)]

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pipeline import estimate
+from .pipeline import estimate_batch
 from .rss_model import log_harmonics, reflection_state
 from .simulator import ScenarioConfig, synthesize
 
@@ -217,19 +217,38 @@ def noise_std_for_snr(scenario: ScenarioConfig, snr_db,
     return math.sqrt(p_sig * 10 ** (-snr_db / 10))
 
 
-def _sweep_cell(args):
-    (scenario, snr_db, seed, methods, settle_s, tol_bpm) = args
-    sigma = noise_std_for_snr(scenario, snr_db)
-    scenario = replace(scenario, noise_std_db=sigma)
-    trace = synthesize(scenario, seed=seed)
-    t, values = trace.for_channel(trace.channels()[0])
-    runs = estimate(t, values, scenario.sample_rate_hz, methods)
-    true_hz = scenario.motion.breath_freq_hz
-    cell = {}
-    for method, series in runs.items():
-        _, late = series.after(settle_s)
-        cell[method] = hit_ratio_pct(late, true_hz, tol_bpm)
-    return snr_db, seed, cell
+# Cells per unit of sweep work.  A worker holds the estimate series of
+# every cell of a unit until it has scored them, so this bounds its
+# memory (96 bed cells of dft and kf peak at 302 MB in one unit, 176 MB
+# in units of 32); each unit runs the kf covariance recursion once per
+# time grid.
+_MAX_CHUNK_CELLS = 32
+
+
+def _sweep_chunk(args):
+    """Hit ratios of a contiguous run of (snr_db, seed) cells, in order.
+
+    The cells whose traces share timestamps (all of them, without
+    drops) are estimated as one batch.
+    """
+    (template, cells, methods, settle_s, tol_bpm) = args
+    batches = {}  # timestamps -> (times, cell indices, values)
+    for i, (snr_db, seed) in enumerate(cells):
+        sigma = noise_std_for_snr(template, snr_db)
+        trace = synthesize(replace(template, noise_std_db=sigma), seed=seed)
+        t, values = trace.for_channel(trace.channels()[0])
+        _, index, rows = batches.setdefault(t.tobytes(), (t, [], []))
+        index.append(i)
+        rows.append(values)
+    true_hz = template.motion.breath_freq_hz
+    hits = [None] * len(cells)
+    for t, index, rows in batches.values():
+        runs = estimate_batch(t, rows, template.sample_rate_hz, methods)
+        for i, run in zip(index, runs):
+            hits[i] = {method: hit_ratio_pct(series.after(settle_s)[1],
+                                             true_hz, tol_bpm)
+                       for method, series in run.items()}
+    return hits
 
 
 def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
@@ -241,27 +260,41 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
     ``n_seeds`` independent traces scored on their post-transient
     estimates.  Returns a list of ``{"snr_db", "method",
     "hit_ratio_pct"}`` rows, seed-averaged, ordered by SNR then method.
+
+    The (SNR, seed) cells are split into contiguous chunks, a multiple
+    of ``jobs`` of them, run by ``jobs`` processes.  Within a chunk, each
+    method runs once per batch of cells with identical timestamps.
     """
-    tasks = [(template, float(snr), seed, tuple(methods),
-              settle_s, tol_bpm)
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    cells = [(float(snr), seed)
              for snr in snr_targets_db for seed in range(n_seeds)]
+    # a multiple of jobs chunks of near-equal size keeps the workers even
+    n_chunks = jobs * max(1, -(-len(cells) // (jobs * _MAX_CHUNK_CELLS)))
+    bounds = [len(cells) * i // n_chunks for i in range(n_chunks + 1)]
+    tasks = [(template, cells[a:b], tuple(methods), settle_s, tol_bpm)
+             for a, b in zip(bounds, bounds[1:]) if b > a]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_cell, tasks))
+            chunks = list(pool.map(_sweep_chunk, tasks))
     else:
-        results = [_sweep_cell(t) for t in tasks]
+        chunks = [_sweep_chunk(t) for t in tasks]
+    hits = [cell for chunk in chunks for cell in chunk]
 
+    # averaged in (SNR, seed) order, as when every cell ran on its own
     table = {}
-    for snr_db, _seed, cell in results:
+    for (snr_db, _seed), cell in zip(cells, hits):
         for method, hit in cell.items():
             table.setdefault((snr_db, method), []).append(hit)
     rows = []
     for snr in sorted({k[0] for k in table}):
         for method in methods:
-            hits = table[(snr, method)]
+            hit = float(np.mean(table[(snr, method)]))
             rows.append({"snr_db": snr, "method": method,
-                         "hit_ratio_pct": float(np.mean(hits))})
+                         "hit_ratio_pct": hit})
     return rows
 
 

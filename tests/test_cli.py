@@ -155,6 +155,23 @@ def test_sweep_rejects_unknown_method(tmp_path, capsys):
     assert "unknown methods" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--preset", "bed", "--targets", "0", "--seeds", "0"],
+    ["sweep", "--preset", "bed", "--targets", "0", "--seeds", "-1"],
+    ["sweep", "--preset", "bed", "--targets", "0", "--jobs", "0"],
+    ["sweep", "--preset", "bed", "--targets", "0", "--jobs", "-3"],
+    ["figures", "--which", "fig6c", "--seeds", "0"],
+], ids=["seeds0", "seeds-1", "jobs0", "jobs-3", "figures-seeds0"])
+def test_sweep_rejects_bad_sizes(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = run([*argv, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "at least 1" in err
+    assert not out.is_file()
+
+
 def test_figures_fig2c_smoke(tmp_path):
     out = tmp_path / "figs"
     rc = run(["figures", "--which", "fig2c", "--out", str(out)])

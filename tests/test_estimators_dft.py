@@ -4,8 +4,35 @@ import numpy as np
 import pytest
 
 from rssb.estimators import DftConfig, EstimatorError, dft_estimate
+from rssb.estimators.dft import _WINDOWS_PER_FFT
 
 FS = 31.25
+
+
+def dft_reference(times_s, y, cfg):
+    """One rfft per window over all bins, as first written.
+
+    Returns f_hat, recon, the full psd and its frequencies.
+    """
+    fs = 1.0 / float(np.median(np.diff(times_s)))
+    nw = cfg.window_samples(fs)
+    freqs = np.fft.rfftfreq(cfg.n_dft, d=1.0 / fs)
+    band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
+    band[0] = False
+    band_idx = np.flatnonzero(band)
+    starts = np.arange(0, len(y) - nw + 1, cfg.hop_samples)
+    psd = np.empty((len(starts), len(freqs)))
+    f_hat = np.empty(len(starts))
+    recon = np.empty(len(starts))
+    for j, s in enumerate(starts):
+        spec = np.fft.rfft(y[s:s + nw], cfg.n_dft)
+        psd[j] = np.abs(spec) ** 2
+        peak = band_idx[np.argmax(psd[j, band_idx])]
+        f_hat[j] = freqs[peak]
+        amp = 2 * np.abs(spec[peak]) / nw
+        phase = np.angle(spec[peak])
+        recon[j] = amp * np.cos(2 * np.pi * f_hat[j] * (nw - 1) / fs + phase)
+    return f_hat, recon, psd, freqs
 
 
 def tone(freq_hz, duration_s, amp=1.0, phase=0.0):
@@ -112,3 +139,23 @@ def test_spectrogram_aux_shapes():
     nw = DftConfig().window_samples(FS)
     ends = np.arange(0, len(y) - nw + 1, 30) + nw - 1
     assert np.allclose(series.aux["recon"], y[ends], atol=0.05)
+
+
+@pytest.mark.parametrize("hop", [1, 7, 30])
+def test_matches_per_window_reference(hop):
+    cfg = DftConfig(hop_samples=hop)
+    nw = cfg.window_samples(FS)
+    # one or two full blocks of windows plus a partial one
+    n_windows = (2 if hop == 1 else 1) * _WINDOWS_PER_FFT + 5
+    n = nw + (n_windows - 1) * hop
+    rng = np.random.default_rng(hop)
+    t = np.arange(n) / FS
+    y = np.sin(2 * np.pi * 0.27 * t) + rng.normal(0, 1.0, n)
+    series = dft_estimate(t, y, cfg)
+    f_hat, recon, psd, freqs = dft_reference(t, y, cfg)
+    assert len(series) == n_windows
+    assert np.array_equal(series.f_hat_hz, f_hat)
+    assert np.array_equal(series.aux["recon"], recon)
+    band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
+    assert np.array_equal(series.aux["freq_hz"], freqs[band])
+    assert np.array_equal(series.aux["psd"], psd[:, band])

@@ -10,10 +10,57 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rssb.estimators import EstimatorError, KfConfig, kf_estimate
+from rssb.estimators import (EstimatorError, KfConfig, kf_estimate,
+                             kf_estimate_batch)
 
 FS = 31.25
+ROW_KEYS = ("recon", "peak_amp", "dc", "final_cov")
+
+
+def kf_reference(times_s, z, cfg=KfConfig()):
+    """The per-sample filter loop, one trace at a time, as first written.
+
+    Returns f_hat and the aux arrays of ROW_KEYS.
+    """
+    grid = cfg.grid_hz()
+    nb = cfg.n_bins
+    dim = 2 * nb + 1
+    phase = 2 * np.pi * np.outer(times_s, grid)
+    g_all = np.empty((len(z), dim))
+    g_all[:, 0] = 1.0
+    g_all[:, 1:nb + 1] = np.sin(phase)
+    g_all[:, nb + 1:] = np.cos(phase)
+    x = np.zeros(dim)
+    x[0] = z[0]
+    p = np.eye(dim) * cfg.init_cov
+    f_hat, recon, peak_amp, dc = (np.empty(len(z)) for _ in range(4))
+    for k in range(len(z)):
+        if k > 0:
+            p[np.diag_indices_from(p)] += cfg.process_var
+        g = g_all[k]
+        pg = p @ g
+        s = float(g @ pg) + cfg.meas_var
+        gain = pg / s
+        x = x + gain * (z[k] - float(g @ x))
+        p = p - np.outer(gain, pg)
+        p = (p + p.T) / 2
+        amps = np.hypot(x[1:nb + 1], x[nb + 1:])
+        best = int(np.argmax(amps))
+        f_hat[k] = grid[best]
+        peak_amp[k] = amps[best]
+        recon[k] = float(g @ x)
+        dc[k] = x[0]
+    return f_hat, {"recon": recon, "peak_amp": peak_amp, "dc": dc,
+                   "final_cov": p}
+
+
+def assert_same_series(series, f_hat, aux):
+    assert np.array_equal(series.f_hat_hz, f_hat)
+    for key in ROW_KEYS:
+        assert np.array_equal(series.aux[key], aux[key]), key
 
 
 def test_grid_covers_bpm_range():
@@ -121,3 +168,31 @@ def test_input_validation():
         KfConfig(n_bins=0)
     with pytest.raises(EstimatorError):
         KfConfig(meas_var=0.0)
+
+
+def test_matches_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    t = np.arange(300) / FS
+    keep = rng.random(len(t)) >= 0.1
+    for times in (t, t[keep]):
+        z = (np.sin(2 * np.pi * 0.2 * times)
+             + rng.normal(0, 0.5, len(times)) + 2.0)
+        assert_same_series(kf_estimate(times, z), *kf_reference(times, z))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_rows=st.integers(1, 4), n=st.integers(2, 120),
+       drops=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_batch_rows_equal_single_runs(n_rows, n, drops, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / FS
+    if drops:
+        keep = rng.random(n) >= 0.1
+        keep[:2] = True
+        t = t[keep]
+    rows = rng.normal(0, 1, (n_rows, len(t))) + np.sin(2 * np.pi * 0.2 * t)
+    batch = kf_estimate_batch(t, rows)
+    assert len(batch) == n_rows
+    for z, series in zip(rows, batch):
+        single = kf_estimate(t, z)
+        assert_same_series(series, single.f_hat_hz, single.aux)

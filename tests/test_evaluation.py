@@ -1,5 +1,7 @@
 """Metric arithmetic and scoring-harness checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from rssb.evaluation import (MetricsReport, compute_metrics,
                              hit_ratio_pct, inband_signal_power,
                              modeling_mae_db, noise_std_for_snr,
                              outlier_filtered_mae, snr_estimate, snr_sweep)
+from rssb.pipeline import estimate
 from rssb.presets import bed_scenario
+from rssb.simulator import synthesize
 
 F_TRUE = 0.2  # 12 bpm
 
@@ -157,14 +161,37 @@ def test_noise_calibration_round_trip():
         scenario.noise_std_db, abs=0.005)
 
 
+def per_cell_sweep(template, snr_targets_db, n_seeds, methods, settle_s):
+    """snr_sweep's rows, from one estimate call per (SNR, seed) cell."""
+    rows = []
+    for snr in sorted(snr_targets_db):
+        sigma = noise_std_for_snr(template, snr)
+        hits = {m: [] for m in methods}
+        for seed in range(n_seeds):
+            trace = synthesize(replace(template, noise_std_db=sigma),
+                               seed=seed)
+            t, values = trace.for_channel(trace.channels()[0])
+            runs = estimate(t, values, template.sample_rate_hz, methods)
+            for m, series in runs.items():
+                hits[m].append(hit_ratio_pct(series.after(settle_s)[1],
+                                             template.motion.breath_freq_hz))
+        rows += [{"snr_db": snr, "method": m,
+                  "hit_ratio_pct": float(np.mean(hits[m]))} for m in methods]
+    return rows
+
+
 @pytest.mark.parametrize("drop_prob", [0.0, 0.1])
 def test_snr_sweep_smoke(drop_prob):
-    # with drops the dft runs on a resampled grid
+    # with drops the dft runs on a resampled grid, and only the cells of
+    # one seed share timestamps; without, every chunk is one batch
     template = bed_scenario(duration_s=40.0, drop_prob=drop_prob)
-    rows = snr_sweep(template, [0.0], n_seeds=2, methods=("dft",),
+    methods = ("dft", "kf", "gp")
+    targets = [-12.0, -18.0]  # low enough that hit ratios differ
+    rows = snr_sweep(template, targets, n_seeds=3, methods=methods,
                      settle_s=30.0)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["method"] == "dft"
-    assert row["snr_db"] == 0.0
-    assert 0.0 <= row["hit_ratio_pct"] <= 100.0
+    assert [(r["snr_db"], r["method"]) for r in rows] == [
+        (snr, m) for snr in (-18.0, -12.0) for m in methods]
+    assert all(0.0 <= r["hit_ratio_pct"] <= 100.0 for r in rows)
+    assert rows == snr_sweep(template, targets, n_seeds=3, methods=methods,
+                             settle_s=30.0, jobs=2)
+    assert rows == per_cell_sweep(template, targets, 3, methods, 30.0)
