@@ -264,6 +264,8 @@ def cmd_sweep(args):
 
 
 def cmd_figures(args):
+    if min(args.seeds, args.jobs) < 1:  # before anything is written
+        raise ValueError("--seeds and --jobs must be at least 1")
     os.makedirs(args.out, exist_ok=True)
     names = list(FIGURES) if args.which == "all" else [args.which]
     outputs = []

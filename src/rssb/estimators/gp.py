@@ -17,7 +17,8 @@ The filter exploits exactly that structure: sigma points are drawn
 over the scalar log-frequency only, the harmonic substate is pushed
 through each sigma point's rotation analytically, and the measurement
 update is the plain linear one (the observation does not involve the
-log-frequency directly).
+log-frequency directly).  Both steps symmetrize the covariance; its
+eigenvalue floor is checked by ``eigh`` only if a Cholesky test fails.
 """
 
 import math
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.linalg.lapack import dpotrf
 
 from .common import EstimateSeries, EstimatorError
 
@@ -98,9 +100,6 @@ class GpConfig:
         if self.freq_drift < 0:
             raise EstimatorError("freq_drift must be non-negative")
 
-    def init_harmonic_var(self, n) -> float:
-        return 1.0 / (2.0 ** n * math.factorial(n))
-
 
 def _sigma_weights(cfg: GpConfig):
     """Scaled unscented weights for the one-dimensional sigma set."""
@@ -111,18 +110,24 @@ def _sigma_weights(cfg: GpConfig):
     return math.sqrt(1 + lam), wm, wc
 
 
-def _rotation_block(dim, freqs_hz, dt_s):
-    """Block-diagonal linear dynamics: identity DC plus one rotation per harmonic."""
-    a = np.eye(dim)
-    theta = 2 * np.pi * freqs_hz * dt_s
-    c, s = np.cos(theta), np.sin(theta)
-    for i in range(len(freqs_hz)):
-        j = 1 + 2 * i
-        a[j, j] = c[i]
-        a[j, j + 1] = -s[i]
-        a[j + 1, j] = s[i]
-        a[j + 1, j + 1] = c[i]
-    return a
+def _recondition(p, count):
+    """Symmetrize ``p``; floor its eigenvalues at 1e-12 of the largest.
+
+    Returns the matrix and ``count``, plus one if the floor fired.
+    ``eigh`` runs only when ``sym - 2e-12 * trace(sym) * I`` has no
+    Cholesky factor: the trace bounds the largest eigenvalue of a PSD
+    matrix, so a factor proves the smallest far above the floor.
+    """
+    sym = (p + p.T) / 2
+    shift = 2e-12 * max(sym.trace(), 1e-30)
+    if dpotrf(sym - shift * np.eye(len(p)))[1] == 0:
+        return sym, count
+    vals, vecs = np.linalg.eigh(p)
+    floor = max(vals.max(), 1e-30) * 1e-12
+    if vals.min() < floor:
+        p = vecs @ np.diag(np.maximum(vals, floor)) @ vecs.T
+        return (p + p.T) / 2, count + 1
+    return sym, count
 
 
 def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
@@ -133,7 +138,8 @@ def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
     after the measurement update.  ``aux`` carries the filtered
     reconstruction (``recon``), the DC history, the first component of
     every harmonic block (``harmonic_cos``, one column per harmonic)
-    and the number of covariance reconditioning events.
+    and ``recondition_count``, the number of times the eigenvalue floor
+    fired (checked by ``eigh`` only when a Cholesky test fails).
     """
     times_s = np.asarray(times_s, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -152,6 +158,7 @@ def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
     harmonics = np.arange(1, nh + 1)
 
     q0, qn = kernel_cosine_weights(cfg.kernel_var, cfg.lengthscale, nh)
+    q_lin = np.r_[q0, np.repeat(qn, 2)]
     gamma, wm, wc = _sigma_weights(cfg)
 
     h_row = np.zeros(dim)
@@ -161,29 +168,21 @@ def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
     m = np.zeros(dim)
     m[0] = cfg.init_log_freq
     m[1] = z[0]
-    p = np.zeros((dim, dim))
-    p[0, 0] = cfg.init_log_freq_var
-    p[1, 1] = cfg.init_dc_var
-    for n in harmonics:
-        var = cfg.init_harmonic_var(int(n))
-        p[2 * n, 2 * n] = var
-        p[2 * n + 1, 2 * n + 1] = var
+    harm_var = [1.0 / (2.0 ** n * math.factorial(n)) for n in harmonics]
+    p = np.diag(np.r_[cfg.init_log_freq_var, cfg.init_dc_var,
+                      np.repeat(harm_var, 2)])
+
+    # linear dynamics per sigma point: identity DC, then a rotation by
+    # 2*pi*n*f*dt per harmonic with (cos, cos, sin, -sin) at ``rot_at``
+    a = np.tile(np.eye(lin_dim), (3, 1, 1))
+    cos_at = np.arange(1, lin_dim, 2) * (lin_dim + 1)
+    rot_at = np.r_[cos_at, cos_at + lin_dim + 1, cos_at + lin_dim, cos_at + 1]
 
     f_hat = np.empty(len(z))
     recon = np.empty(len(z))
     dc = np.empty(len(z))
     harm_cos = np.empty((len(z), nh))
     recondition_count = 0
-
-    def recondition(mat):
-        nonlocal recondition_count
-        vals, vecs = np.linalg.eigh(mat)
-        floor = max(vals.max(), 1e-30) * 1e-12
-        if vals.min() < floor:
-            recondition_count += 1
-            vals = np.maximum(vals, floor)
-            mat = vecs @ np.diag(vals) @ vecs.T
-        return (mat + mat.T) / 2
 
     for k in range(len(z)):
         if k > 0:
@@ -198,13 +197,15 @@ def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
             s_pts = m[0] + np.array([0.0, spread, -spread])
             s_pts_new = s_pts - 0.5 * cfg.freq_drift ** 2 * dt
 
+            freqs = np.array([math.exp(pt) for pt in s_pts_new])[:, None]
+            theta = 2 * np.pi * (freqs * harmonics) * dt
+            c, s = np.cos(theta), np.sin(theta)
+            a.reshape(3, -1)[:, rot_at] = np.concatenate([c, c, s, -s], 1)
             lin_pts = np.empty((3, lin_dim))
             rot_cov = np.zeros((lin_dim, lin_dim))
             for j in range(3):
-                a_j = _rotation_block(lin_dim,
-                                      harmonics * math.exp(s_pts_new[j]), dt)
-                lin_pts[j] = a_j @ (m[1:] + slope * (s_pts[j] - m[0]))
-                rot_cov += wm[j] * (a_j @ pl_cond @ a_j.T)
+                lin_pts[j] = a[j] @ (m[1:] + slope * (s_pts[j] - m[0]))
+                rot_cov += wm[j] * (a[j] @ pl_cond @ a[j].T)
 
             s_mean = float(wm @ s_pts_new)
             lin_mean = wm @ lin_pts
@@ -217,18 +218,15 @@ def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
             p[0, 1:] = (wc * s_dev) @ lin_dev
             p[1:, 0] = p[0, 1:]
             p[1:, 1:] = (lin_dev.T * wc) @ lin_dev + rot_cov
-            p[1, 1] += 2 * dt * q0
-            for n in harmonics:
-                p[2 * n, 2 * n] += 2 * dt * qn[n - 1]
-                p[2 * n + 1, 2 * n + 1] += 2 * dt * qn[n - 1]
-            p = recondition(p)
+            p[1:, 1:].flat[::lin_dim + 1] += 2 * dt * q_lin  # its diagonal
+            p, recondition_count = _recondition(p, recondition_count)
 
         ph = p @ h_row
         s_innov = float(h_row @ ph) + cfg.meas_var
         gain = ph / s_innov
         m = m + gain * (z[k] - float(h_row @ m))
         p = p - np.outer(gain, ph)
-        p = recondition(p)
+        p, recondition_count = _recondition(p, recondition_count)
 
         f_hat[k] = math.exp(m[0])
         recon[k] = float(h_row @ m)

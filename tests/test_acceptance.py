@@ -18,7 +18,7 @@ from rssb.dsp import FilterSpec, design_lowpass, preprocess
 from rssb.estimators import GpConfig
 from rssb.evaluation import (convergence_split, convergence_time_s, snr_sweep)
 from rssb.figures import truncation_rmse
-from rssb.pipeline import estimate
+from rssb.pipeline import estimate, estimate_batch
 from rssb.presets import (bed_scenario, drifting_scenario, midline_scenario,
                           second_harmonic_scenario)
 from rssb.rss_model import (ReflectionState, dilog, linear_harmonics,
@@ -52,6 +52,18 @@ def modulation_state(reflection, mod_index_rad, static_phase_rad,
 def first_channel(scenario):
     trace = synthesize(scenario)
     return trace.for_channel(trace.channels()[0])
+
+
+def seed_batch(base, seeds):
+    """Every method's estimates on the first channel of each seed.
+
+    The seeds' traces share one time grid, so they run as one batch.
+    """
+    channels = [first_channel(replace(base, seed=seed)) for seed in seeds]
+    times_s = channels[0][0]
+    assert all(np.array_equal(t, times_s) for t, _ in channels)
+    return estimate_batch(times_s, [values for _, values in channels],
+                          base.sample_rate_hz, METHODS)
 
 
 def late_mean_bpm(series, settle_s=30.0):
@@ -171,10 +183,7 @@ def test_08_bed_accuracy_and_convergence():
     worst_late = {m: 0.0 for m in METHODS}
     converged = {"kf": 0, "gp": 0}
     f_true = bed_scenario().motion.breath_freq_hz
-    for seed in range(n_seeds):
-        scenario = replace(bed_scenario(), seed=seed)
-        results = estimate(*first_channel(scenario),
-                           scenario.sample_rate_hz, METHODS)
+    for results in seed_batch(bed_scenario(), range(n_seeds)):
         for method, series in results.items():
             _, late = convergence_split(series.times_s, series.f_hat_hz,
                                         f_true)
@@ -204,9 +213,7 @@ def test_09_half_wavelength_geometry_splits_methods():
     # judge the settled plateau; the kf spends its first ~45 s growing
     # the 2f coefficient before it commits
     settle_s = base.duration_s - 30.0
-    for seed in range(n_seeds):
-        results = estimate(*first_channel(replace(base, seed=seed)),
-                           base.sample_rate_hz, METHODS)
+    for results in seed_batch(base, range(n_seeds)):
         dft_bpm = late_mean_bpm(results["dft"], settle_s)
         kf_bpm = late_mean_bpm(results["kf"], settle_s)
         gp_bpm = late_mean_bpm(results["gp"], settle_s)

@@ -161,7 +161,10 @@ def test_sweep_rejects_unknown_method(tmp_path, capsys):
     ["sweep", "--preset", "bed", "--targets", "0", "--jobs", "0"],
     ["sweep", "--preset", "bed", "--targets", "0", "--jobs", "-3"],
     ["figures", "--which", "fig6c", "--seeds", "0"],
-], ids=["seeds0", "seeds-1", "jobs0", "jobs-3", "figures-seeds0"])
+    ["figures", "--seeds", "0"],
+    ["figures", "--jobs", "0"],
+], ids=["seeds0", "seeds-1", "jobs0", "jobs-3", "figures-seeds0",
+        "figures-all-seeds0", "figures-all-jobs0"])
 def test_sweep_rejects_bad_sizes(tmp_path, capsys, argv):
     out = tmp_path / "out"
     rc = run([*argv, "--out", str(out)])
@@ -169,7 +172,7 @@ def test_sweep_rejects_bad_sizes(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "at least 1" in err
-    assert not out.is_file()
+    assert not out.exists()
 
 
 def test_figures_fig2c_smoke(tmp_path):
