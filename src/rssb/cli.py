@@ -29,6 +29,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from .config import from_dict, to_dict
 from .dsp import FilterDesignError, FilterSpec, preprocess
 from .estimators import EstimateSeries, EstimatorError
 from .evaluation import (compute_metrics, snr_estimate, snr_sweep,
@@ -36,8 +37,8 @@ from .evaluation import (compute_metrics, snr_estimate, snr_sweep,
 from .figures import FIGURES
 from .pipeline import ESTIMATORS, estimate, uniform_samples
 from .presets import PRESETS, preset_scenario
-from .simulator import (RssTrace, ScenarioError, scenario_from_dict,
-                        scenario_to_dict, synthesize, to_absolute)
+from .simulator import (RssTrace, ScenarioError, read_csv_columns,
+                        scenario_from_dict, synthesize, to_absolute)
 
 ESTIMATES_HEADER = "time_s,method,f_hat_hz"
 METHODS = tuple(ESTIMATORS)
@@ -45,80 +46,63 @@ METHODS = tuple(ESTIMATORS)
 
 # --- shared plumbing --------------------------------------------------------
 
-def _parse_assignment(text):
-    """Split one ``--set`` item into (dotted key, parsed value).
+def _config_data(args, base):
+    """The JSON object of --config, else ``base``, after --set overrides.
 
-    Values are decoded as JSON when possible, otherwise kept as raw
-    strings, so ``--set seed=7`` and ``--set model=frozen`` both work.
+    Each override is a dotted key and a value decoded as JSON when
+    possible, otherwise kept as a raw string, so ``--set seed=7`` and
+    ``--set model=frozen`` both work.
     """
-    key, sep, raw = text.partition("=")
-    if not sep or not key:
-        raise ValueError(f"override {text!r} is not of the form key=value")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    return key, value
-
-
-def _apply_overrides(config: dict, assignments):
-    for item in assignments:
-        key, value = _parse_assignment(item)
-        node = config
-        parts = key.split(".")
-        for part in parts[:-1]:
+    data = base
+    if args.config:
+        with open(args.config) as fh:
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.config}: not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: expected a JSON object")
+    for item in args.overrides:
+        key, sep, raw = item.partition("=")
+        if not sep or not key:
+            raise ValueError(f"override {item!r} is not of the form key=value")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        *parents, name = key.split(".")
+        node = data
+        for part in parents:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ValueError(f"cannot descend into {part!r} of override {key!r}")
-        node[parts[-1]] = value
-    return config
-
-
-def _load_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+        node[name] = value
+    return data
 
 
 def _resolve_scenario(args):
     """Scenario from --preset or --config plus --set/--seed overrides."""
     if bool(args.preset) == bool(args.config):
         raise ValueError("exactly one of --preset or --config is required")
-    if args.preset:
-        data = scenario_to_dict(preset_scenario(args.preset))
-    else:
-        data = _load_json(args.config)
-    _apply_overrides(data, args.overrides)
+    base = to_dict(preset_scenario(args.preset)) if args.preset else None
+    data = _config_data(args, base)
     if args.seed is not None:
-        data["seed"] = int(args.seed)
-    return scenario_from_dict(data), data
+        data["seed"] = args.seed
+    return scenario_from_dict(data)
 
 
 def _estimator_settings(args):
-    """Filter spec, per-method configs and the raw settings.
-
-    Read from the ``filter`` section and one section per method of
-    --config, after the --set overrides.
-    """
-    data = _load_json(args.config) if args.config else {}
-    _apply_overrides(data, args.overrides)
-
-    def build(cls, section):
-        fields = data.get(section, {})
-        if not isinstance(fields, dict):
-            raise ValueError(f"section {section!r} must be an object")
-        try:
-            return cls(**{k: tuple(v) if isinstance(v, list) else v
-                          for k, v in fields.items()})
-        except TypeError as exc:
-            raise ValueError(f"bad {section} settings: {exc}") from exc
-
-    filter_spec = build(FilterSpec, "filter")
-    configs = {method: build(config_cls, method)
-               for method, (_, config_cls) in ESTIMATORS.items()}
-    return filter_spec, configs, data
+    """Filter spec and per-method configs by section name, from --config
+    and --set; absent sections and fields take their defaults."""
+    classes = {"filter": FilterSpec,
+               **{method: cls for method, (_, cls) in ESTIMATORS.items()}}
+    data = _config_data(args, {})
+    unknown = sorted(set(data) - set(classes))
+    if unknown:
+        raise ValueError(f"unknown section {unknown[0]!r}; "
+                         f"have {sorted(classes)}")
+    return {name: from_dict(cls, data.get(name, {}), name)
+            for name, cls in classes.items()}
 
 
 def _write_manifest(primary_out, command, config, seed, outputs):
@@ -149,12 +133,13 @@ def _pick_channel(trace, requested):
 # --- subcommands ------------------------------------------------------------
 
 def cmd_simulate(args):
-    scenario, data = _resolve_scenario(args)
+    scenario = _resolve_scenario(args)
     trace = synthesize(scenario)
     if args.absolute:
         trace = to_absolute(trace, scenario.baseline_dbm)
     trace.save_csv(args.out)
-    _write_manifest(args.out, "simulate", data, scenario.seed, [args.out])
+    _write_manifest(args.out, "simulate", to_dict(scenario), scenario.seed,
+                    [args.out])
     print(f"wrote {len(trace.times_s)} samples on "
           f"{len(trace.channels())} channel(s) to {args.out}")
 
@@ -163,10 +148,10 @@ def cmd_estimate(args):
     trace = RssTrace.load_csv(args.trace)
     channel = _pick_channel(trace, args.channel)
     t, values = trace.for_channel(channel)
-    filter_spec, configs, data = _estimator_settings(args)
+    settings = _estimator_settings(args)
     methods = METHODS if args.method == "all" else (args.method,)
-    results = estimate(t, values, trace.nominal_rate_hz(), methods, configs,
-                       filter_spec)
+    results = estimate(t, values, trace.nominal_rate_hz(), methods, settings,
+                       settings["filter"])
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -190,31 +175,19 @@ def cmd_estimate(args):
                     writer.writerow([f"{end_s:.6f}", f"{f:.9g}", f"{p:.9g}"])
         outputs.append(args.spectrogram)
 
-    _write_manifest(args.out, "estimate", data, None, outputs)
+    _write_manifest(args.out, "estimate",
+                    {name: to_dict(cfg) for name, cfg in settings.items()},
+                    None, outputs)
     n = sum(len(s) for s in results.values())
     print(f"wrote {n} estimates ({', '.join(methods)}) to {args.out}")
 
 
 def _load_estimates(path):
+    times, methods, f_hat = read_csv_columns(
+        path, ESTIMATES_HEADER, "no estimates found", (float, str, float))
     table = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != ESTIMATES_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                if len(parts) != 3:
-                    raise ValueError("expected 3 fields")
-                table.setdefault(parts[1], []).append(
-                    (float(parts[0]), float(parts[2])))
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed row {lineno}: {exc}") from exc
-    if not table:
-        raise ValueError(f"{path}: no estimates found")
+    for row in zip(methods, times, f_hat):
+        table.setdefault(row[0], []).append(row[1:])
     return {method: np.asarray(rows).T for method, rows in table.items()}
 
 
@@ -247,7 +220,7 @@ def cmd_evaluate(args):
 
 
 def cmd_sweep(args):
-    scenario, data = _resolve_scenario(args)
+    scenario = _resolve_scenario(args)
     targets = ([float(x) for x in args.targets.split(",")] if args.targets
                else list(range(-18, -2, 2)))
     methods = tuple(args.methods.split(","))
@@ -257,7 +230,7 @@ def cmd_sweep(args):
     rows = snr_sweep(scenario, targets, n_seeds=args.seeds, methods=methods,
                      jobs=args.jobs)
     write_sweep_csv(rows, args.out)
-    config = {"scenario": data, "snr_targets_db": targets,
+    config = {"scenario": to_dict(scenario), "snr_targets_db": targets,
               "n_seeds": args.seeds, "methods": list(methods)}
     _write_manifest(args.out, "sweep", config, None, [args.out])
     print(f"wrote {len(rows)} sweep rows to {args.out}")

@@ -113,7 +113,9 @@ def resample_uniform(times_s, values, sample_rate_hz):
     if np.any(np.diff(times_s) <= 0):
         raise ValueError("timestamps must be strictly increasing")
     step = 1.0 / sample_rate_hz
-    n = int(np.floor((times_s[-1] - times_s[0]) / step)) + 1
+    # a span short of whole steps by roundoff still ends on a grid
+    # point (the tolerance of is_uniform)
+    n = int(np.floor((times_s[-1] - times_s[0]) / step + 1e-6)) + 1
     grid = times_s[0] + step * np.arange(n)
     return grid, np.interp(grid, times_s, values)
 

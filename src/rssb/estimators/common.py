@@ -36,3 +36,16 @@ class EstimateSeries:
         """Estimates with timestamps strictly greater than ``t_s``."""
         mask = self.times_s > t_s
         return self.times_s[mask], self.f_hat_hz[mask]
+
+
+def check_stream(times_s, values):
+    """Reject tracker input: ``values`` holds one stream, or a stack of
+    streams, sampled at ``times_s`` along its last axis."""
+    if values.shape[-1] != len(times_s):
+        raise EstimatorError("times and values must have equal length")
+    if len(times_s) == 0:
+        raise EstimatorError("empty input")
+    if not np.all(np.isfinite(values)):
+        raise EstimatorError("measurements must be finite")
+    if np.any(np.diff(times_s) <= 0):
+        raise EstimatorError("timestamps must be strictly increasing")

@@ -34,7 +34,7 @@ class DftConfig:
     n_dft: int = 2048
     window_s: float = 30.0
     hop_samples: int = 1
-    band_hz: tuple = (0.1, 1.25)
+    band_hz: tuple[float, float] = (0.1, 1.25)
 
     def __post_init__(self):
         if self.n_dft < 2:

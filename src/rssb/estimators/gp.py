@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special
 from scipy.linalg.lapack import dpotrf
 
-from .common import EstimateSeries, EstimatorError
+from .common import EstimateSeries, EstimatorError, check_stream
 
 
 def periodic_kernel(tau_s, kernel_var, lengthscale, freq_hz):
@@ -143,14 +143,7 @@ def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
     """
     times_s = np.asarray(times_s, dtype=float)
     z = np.asarray(z, dtype=float)
-    if len(times_s) != len(z):
-        raise EstimatorError("times and values must have equal length")
-    if len(z) == 0:
-        raise EstimatorError("empty input")
-    if not np.all(np.isfinite(z)):
-        raise EstimatorError("measurements must be finite")
-    if np.any(np.diff(times_s) <= 0):
-        raise EstimatorError("timestamps must be strictly increasing")
+    check_stream(times_s, z)
 
     nh = cfg.n_harmonics
     lin_dim = 1 + 2 * nh

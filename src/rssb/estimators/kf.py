@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import EstimateSeries, EstimatorError
+from .common import EstimateSeries, EstimatorError, check_stream
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,7 @@ def kf_estimate_batch(times_s, rows, cfg: KfConfig = KfConfig()):
     """
     times_s = np.asarray(times_s, dtype=float)
     z = np.asarray(rows, dtype=float)
-    if z.ndim != 2 or z.shape[1] != len(times_s):
-        raise EstimatorError("times and values must have equal length")
-    if len(times_s) == 0:
-        raise EstimatorError("empty input")
-    if not np.all(np.isfinite(z)):
-        raise EstimatorError("measurements must be finite")
-    if np.any(np.diff(times_s) <= 0):
-        raise EstimatorError("timestamps must be strictly increasing")
+    check_stream(times_s, z)
 
     grid = cfg.grid_hz()
     nb = cfg.n_bins

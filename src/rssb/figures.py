@@ -24,9 +24,8 @@ from .simulator import synthesize
 _DELTA_GRID = np.linspace(0.05, 1.0, 200)
 
 
-def _midline_state(delta_m, breath_freq_hz=0.2, amplitude_m=0.01):
-    scenario = presets.midline_scenario(delta_m, breath_freq_hz=breath_freq_hz,
-                                        amplitude_m=amplitude_m)
+def _midline_state(delta_m):
+    scenario = presets.midline_scenario(delta_m)
     return reflection_state(scenario.link, scenario.motion, scenario.medium)
 
 

@@ -14,8 +14,7 @@ from .geometry import LinkGeometry, MediumParams, ReflectorMotion
 from .simulator import ScenarioConfig
 
 DESK_LINK = LinkGeometry(tx=(-1.0, 0.0), rx=(1.0, 0.0))
-DESK_MEDIUM = MediumParams(wavelength_m=0.125, rel_permittivity=1.5,
-                           path_gain_exponent=2.0)
+DESK_MEDIUM = MediumParams()
 
 
 def midline_offset_for_excess(excess_path_m, link: LinkGeometry = DESK_LINK):
@@ -30,19 +29,18 @@ def midline_offset_for_excess(excess_path_m, link: LinkGeometry = DESK_LINK):
     return math.sqrt(((excess_path_m + link.node_distance) / 2) ** 2 - half_d ** 2)
 
 
-def midline_scenario(excess_path_m, *, breath_freq_hz=0.2, amplitude_m=0.01,
-                     velocity_mps=(0.0, 0.0), **kwargs) -> ScenarioConfig:
-    """Breathing reflector on the link bisector at a chosen excess path."""
+def midline_scenario(excess_path_m, **kwargs) -> ScenarioConfig:
+    """Breathing reflector on the link bisector at a chosen excess path.
+
+    ``amplitude_m``, ``breath_freq_hz`` and ``velocity_mps`` set the
+    motion, all other keywords the scenario (unquantized by default).
+    """
     y = midline_offset_for_excess(excess_path_m)
-    motion = ReflectorMotion(rest=(0.0, y), direction=(0.0, -1.0),
-                             amplitude_m=amplitude_m,
-                             breath_freq_hz=breath_freq_hz,
-                             velocity_mps=velocity_mps)
-    defaults = dict(sample_rate_hz=31.25, duration_s=120.0,
-                    quantization_db=0.0, noise_std_db=0.0)
-    defaults.update(kwargs)
+    motion = ReflectorMotion(rest=(0.0, y), **{
+        k: kwargs.pop(k) for k in ("amplitude_m", "breath_freq_hz",
+                                   "velocity_mps") if k in kwargs})
     return ScenarioConfig(link=DESK_LINK, motion=motion, medium=DESK_MEDIUM,
-                          **defaults)
+                          **{"quantization_db": 0.0, **kwargs})
 
 
 def bed_scenario(**kwargs) -> ScenarioConfig:
@@ -54,9 +52,8 @@ def bed_scenario(**kwargs) -> ScenarioConfig:
     The default noise level puts the mean-square signal power 5 dB
     below the noise variance.
     """
-    defaults = dict(noise_std_db=1.24, quantization_db=1.0, duration_s=120.0)
-    defaults.update(kwargs)
-    return midline_scenario(1.25 * DESK_MEDIUM.wavelength_m, **defaults)
+    return midline_scenario(1.25 * DESK_MEDIUM.wavelength_m, **{
+        "noise_std_db": 1.24, "quantization_db": 1.0, **kwargs})
 
 
 def second_harmonic_scenario(**kwargs) -> ScenarioConfig:
@@ -68,10 +65,8 @@ def second_harmonic_scenario(**kwargs) -> ScenarioConfig:
     fundamental survives from the position dependence of the
     reflection coefficient along the stroke.
     """
-    defaults = dict(amplitude_m=0.02, noise_std_db=0.05,
-                    quantization_db=0.0, duration_s=120.0)
-    defaults.update(kwargs)
-    return midline_scenario(2.0 * DESK_MEDIUM.wavelength_m, **defaults)
+    return midline_scenario(2.0 * DESK_MEDIUM.wavelength_m, **{
+        "amplitude_m": 0.02, "noise_std_db": 0.05, **kwargs})
 
 
 def drifting_scenario(shift_hz=0.3, **kwargs) -> ScenarioConfig:
@@ -87,14 +82,10 @@ def drifting_scenario(shift_hz=0.3, **kwargs) -> ScenarioConfig:
     node_dist = math.hypot(half_d, y0)
     gain_per_speed = 2 * y0 / node_dist  # gradient projection of (0, 1)
     speed = shift_hz * DESK_MEDIUM.wavelength_m / gain_per_speed
-    motion = ReflectorMotion(rest=(0.0, y0), direction=(0.0, -1.0),
-                             amplitude_m=0.01, breath_freq_hz=0.2,
-                             velocity_mps=(0.0, speed))
-    defaults = dict(sample_rate_hz=31.25, duration_s=60.0,
-                    quantization_db=0.0, noise_std_db=0.0)
-    defaults.update(kwargs)
+    motion = ReflectorMotion(rest=(0.0, y0), velocity_mps=(0.0, speed))
     return ScenarioConfig(link=DESK_LINK, motion=motion, medium=DESK_MEDIUM,
-                          **defaults)
+                          **{"duration_s": 60.0, "quantization_db": 0.0,
+                             **kwargs})
 
 
 PRESETS = {

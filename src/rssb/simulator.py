@@ -16,10 +16,11 @@ the expansions can be validated against an exact waveform.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import from_dict, to_dict
 from .geometry import (C_LIGHT, LinkGeometry, MediumParams, ReflectorMotion,
                        effective_reflection, excess_path, fresnel_coefficient,
                        gradient_projection, incidence_cosine)
@@ -113,7 +114,9 @@ class RssTrace:
         t, _ = self.for_channel(self.channels()[0])
         if len(t) < 2:
             raise ValueError("trace too short to infer a sampling rate")
-        return 1.0 / float(np.median(np.diff(t)))
+        # 12 significant digits drop the roundoff of the sample times,
+        # so a 31.25 Hz trace reports 31.25, not 31.24999999999997.
+        return float(f"{1.0 / np.median(np.diff(t)):.12g}")
 
     def save_csv(self, path):
         """Write the trace in time order; floats reload bit-identical.
@@ -132,28 +135,60 @@ class RssTrace:
 
     @classmethod
     def load_csv(cls, path, scale="relative"):
-        times, chans, vals = [], [], []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "time_s,channel_id,rss_db":
-                raise ValueError(f"{path}: unexpected header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                try:
-                    if len(parts) != 3:
-                        raise ValueError("expected 3 fields")
-                    times.append(float(parts[0]))
-                    chans.append(int(parts[1]))
-                    vals.append(float(parts[2]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: malformed row {lineno}: {exc}") from exc
-        if not times:
-            raise ValueError(f"{path}: trace contains no samples")
+        times, chans, vals = read_csv_columns(
+            path, "time_s,channel_id,rss_db", "trace contains no samples",
+            (float, int, float))
         return cls(np.asarray(times), np.asarray(chans, dtype=int),
                    np.asarray(vals), scale=scale)
+
+
+def read_csv_columns(path, header, empty_message, types):
+    """Columns of a CSV file with a fixed header, converted by ``types``.
+
+    Blank lines are skipped; every other line must hold one field per
+    type.  A wrong header, a malformed row (reported by line number)
+    and a file without rows raise ValueError.
+    """
+    n = len(types)
+    columns = [[] for _ in types]
+    with open(path) as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise ValueError(f"{path}: unexpected header {found!r}")
+        lineno = 2
+        # Each block of lines is converted a column at a time from one
+        # flat list of strings, which is faster than a loop per row.
+        while lines := fh.readlines(1 << 16):
+            rows = [line for line in map(str.strip, lines) if line]
+            try:
+                if any(row.count(",") != n - 1 for row in rows):
+                    raise ValueError
+                flat = ",".join(rows).split(",")
+                for i, (column, t) in enumerate(zip(columns, types)):
+                    column.extend(map(t, flat[i::n]))
+            except ValueError:
+                _raise_malformed_row(path, lines, lineno, types)
+            lineno += len(lines)
+    if not columns[0]:
+        raise ValueError(f"{path}: {empty_message}")
+    return columns
+
+
+def _raise_malformed_row(path, lines, lineno, types):
+    """Name the first line of ``lines`` (numbered from ``lineno``) that
+    does not hold one field per type, each converted by its type."""
+    for lineno, line in enumerate(lines, start=lineno):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        try:
+            if len(parts) != len(types):
+                raise ValueError(f"expected {len(types)} fields")
+            for t, part in zip(types, parts):
+                t(part)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed row {lineno}: {exc}") from exc
 
 
 def _trajectory_db(scenario: ScenarioConfig, wavelength_m, t):
@@ -223,78 +258,15 @@ def to_absolute(trace: RssTrace, baseline_dbm) -> RssTrace:
 # --- scenario (de)serialization -------------------------------------------
 
 def scenario_to_dict(s: ScenarioConfig) -> dict:
-    return {
-        "link": {"tx": list(s.link.tx), "rx": list(s.link.rx)},
-        "motion": {
-            "rest": list(s.motion.rest),
-            "direction": list(s.motion.direction),
-            "amplitude_m": s.motion.amplitude_m,
-            "breath_freq_hz": s.motion.breath_freq_hz,
-            "velocity_mps": list(s.motion.velocity_mps),
-        },
-        "medium": {
-            "wavelength_m": s.medium.wavelength_m,
-            "rel_permittivity": s.medium.rel_permittivity,
-            "path_gain_exponent": s.medium.path_gain_exponent,
-        },
-        "channels_hz": list(s.channels_hz),
-        "sample_rate_hz": s.sample_rate_hz,
-        "duration_s": s.duration_s,
-        "baseline_dbm": s.baseline_dbm,
-        "noise_std_db": s.noise_std_db,
-        "quantization_db": s.quantization_db,
-        "drop_prob": s.drop_prob,
-        "seed": s.seed,
-        "model": s.model,
-    }
-
-
-def _pair(section, key, value):
-    try:
-        x, y = value
-        return (float(x), float(y))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{section}.{key} must be a pair of numbers") from exc
+    return to_dict(s)
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from plain JSON data."""
     try:
-        link = LinkGeometry(tx=_pair("link", "tx", d["link"]["tx"]),
-                            rx=_pair("link", "rx", d["link"]["rx"]))
-        mo = d.get("motion", {})
-        motion = ReflectorMotion(
-            rest=_pair("motion", "rest", mo["rest"]),
-            direction=_pair("motion", "direction", mo.get("direction", (0, -1))),
-            amplitude_m=float(mo.get("amplitude_m", 0.01)),
-            breath_freq_hz=float(mo.get("breath_freq_hz", 0.2)),
-            velocity_mps=_pair("motion", "velocity_mps",
-                               mo.get("velocity_mps", (0, 0))),
-        )
-        me = d.get("medium", {})
-        medium = MediumParams(
-            wavelength_m=float(me.get("wavelength_m", 0.125)),
-            rel_permittivity=float(me.get("rel_permittivity", 1.5)),
-            path_gain_exponent=float(me.get("path_gain_exponent", 2.0)),
-        )
-        return ScenarioConfig(
-            link=link, motion=motion, medium=medium,
-            channels_hz=tuple(float(f) for f in d.get("channels_hz", ())),
-            sample_rate_hz=float(d.get("sample_rate_hz", 31.25)),
-            duration_s=float(d.get("duration_s", 120.0)),
-            baseline_dbm=float(d.get("baseline_dbm", 0.0)),
-            noise_std_db=float(d.get("noise_std_db", 0.0)),
-            quantization_db=float(d.get("quantization_db", 1.0)),
-            drop_prob=float(d.get("drop_prob", 0.0)),
-            seed=int(d.get("seed", 0)),
-            model=str(d.get("model", "exact")),
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"scenario is missing required field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"invalid scenario value: {exc}") from exc
+        return from_dict(ScenarioConfig, d)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -175,6 +175,65 @@ def test_sweep_rejects_bad_sizes(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["simulate", "--preset", "bed", "--set", "motion.breath_hz=0.3"],
+     "motion.breath_hz"),
+    (["estimate", "--set", "dftt.n_dft=4"], "dftt"),
+    (["estimate", "--set", "dft.band_hz=[0.1]"], "dft.band_hz"),
+    (["estimate", "--set", "gp.n_harmonics=1.5"], "gp.n_harmonics"),
+    (["simulate", "--preset", "bed", "--set", "link.tx=[0,0,0]"], "link.tx"),
+    (["simulate", "--preset", "bed", "--set", 'baseline_dbm="abc"'],
+     "baseline_dbm"),
+], ids=["unknown-field", "unknown-section", "short-pair", "fractional-int",
+        "long-pair", "string-number"])
+def test_bad_settings_exit_2_with_one_line(tmp_path, capsys, argv, names):
+    if argv[0] == "estimate":
+        argv = [*argv, "--trace", str(simulate(tmp_path))]
+        capsys.readouterr()
+    out = tmp_path / "out.csv"
+    rc = run([*argv, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert names in err
+    assert not out.exists()
+
+
+def test_estimate_manifest_config_reproduces_estimates(tmp_path):
+    trace = simulate(tmp_path, extra=("--set", "drop_prob=0.1"))
+    first = tmp_path / "first.csv"
+    assert run(["estimate", "--trace", str(trace), "--set", "dft.window_s=20",
+                "--set", "gp.n_harmonics=1", "--set", "filter.passband_hz=1.8",
+                "--out", str(first)]) == 0
+    config = json.loads((tmp_path / "first.csv.manifest.json").read_text())[
+        "config"]
+    assert set(config) == {"filter", "dft", "kf", "gp"}
+    assert config["dft"]["window_s"] == 20 and config["kf"]["n_bins"] == 75
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps(config))
+    second = tmp_path / "second.csv"
+    assert run(["estimate", "--trace", str(trace), "--config", str(settings),
+                "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_simulate_manifest_records_the_resolved_scenario(tmp_path):
+    minimal = {"link": {"tx": [-1, 0], "rx": [1, 0]},
+               "motion": {"rest": [0, 0.4]}, "duration_s": 5}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(minimal))
+    first = tmp_path / "first.csv"
+    assert run(["simulate", "--config", str(config), "--out", str(first)]) == 0
+    recorded = json.loads((tmp_path / "first.csv.manifest.json").read_text())[
+        "config"]
+    assert recorded["sample_rate_hz"] == 31.25
+    assert recorded["medium"]["wavelength_m"] == 0.125
+    config.write_text(json.dumps(recorded))
+    second = tmp_path / "second.csv"
+    assert run(["simulate", "--config", str(config), "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_figures_fig2c_smoke(tmp_path):
     out = tmp_path / "figs"
     rc = run(["figures", "--which", "fig2c", "--out", str(out)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rssb.dsp import is_uniform
+from rssb.dsp import is_uniform, resample_uniform
 from rssb.geometry import C_LIGHT, DegenerateGeometryError, LinkGeometry
 from rssb.presets import bed_scenario, midline_scenario
 from rssb.rss_model import log_harmonics, ratio_db_exact, reflection_state
@@ -184,14 +184,21 @@ def test_csv_round_trip_is_exact(tmp_path_factory, rate_hz, drop_prob, seed):
     assert np.array_equal(loaded.channel_ids, trace.channel_ids)
     assert np.array_equal(loaded.values_db, trace.values_db)
     t0, _ = trace.for_channel(0)
-    t1, _ = loaded.for_channel(0)
+    t1, v1 = loaded.for_channel(0)
     assert is_uniform(t1) == is_uniform(t0)
+    assert loaded.nominal_rate_hz() == rate_hz
+    grid, _ = resample_uniform(t1, v1, rate_hz)
+    assert len(grid) == round((t1[-1] - t1[0]) * rate_hz) + 1
 
 
 def test_csv_load_reports_malformed_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time_s,channel_id,rss_db\n0.0,0,1.5\noops,0\n")
     with pytest.raises(ValueError, match="row 3"):
+        RssTrace.load_csv(path)
+    good = "".join(f"{k / 31.25!r},0,1.5\n" for k in range(10000))
+    path.write_text("time_s,channel_id,rss_db\n\n" + good + "0.0,x,1.5\n")
+    with pytest.raises(ValueError, match="row 10003: invalid literal"):
         RssTrace.load_csv(path)
     path.write_text("wrong,header,here\n")
     with pytest.raises(ValueError, match="header"):
