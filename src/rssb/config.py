@@ -11,7 +11,7 @@ the dotted path of the key; the dataclasses then validate themselves.
 """
 
 import dataclasses
-import math
+import sys
 import typing
 
 to_dict = dataclasses.asdict
@@ -25,8 +25,9 @@ def _convert(tp, value, key):
             raise ValueError(f"{key} must be a string, got {value!r}")
         return value
     if tp in (float, int):
+        # False for NaN, infinity and an integer too large for a float.
         if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
+                or not abs(value) <= sys.float_info.max):
             raise ValueError(f"{key} must be a finite number, got {value!r}")
         if tp is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{key} must be an integer, got {value!r}")

@@ -74,6 +74,8 @@ def kf_estimate_batch(times_s, rows, cfg: KfConfig = KfConfig()):
     """
     times_s = np.asarray(times_s, dtype=float)
     z = np.asarray(rows, dtype=float)
+    if z.ndim != 2:
+        raise EstimatorError("rows must be a 2-D array, one stream a row")
     check_stream(times_s, z)
 
     grid = cfg.grid_hz()

@@ -149,46 +149,42 @@ def read_csv_columns(path, header, empty_message, types):
     type.  A wrong header, a malformed row (reported by line number)
     and a file without rows raise ValueError.
     """
-    n = len(types)
     columns = [[] for _ in types]
     with open(path) as fh:
         found = fh.readline().strip()
         if found != header:
             raise ValueError(f"{path}: unexpected header {found!r}")
         lineno = 2
-        # Each block of lines is converted a column at a time from one
-        # flat list of strings, which is faster than a loop per row.
+        # Lines are parsed a block at a time, which is faster than a loop
+        # per row.  A block that fails is parsed again, by the same
+        # function, one line at a time to name the first bad line.
         while lines := fh.readlines(1 << 16):
-            rows = [line for line in map(str.strip, lines) if line]
             try:
-                if any(row.count(",") != n - 1 for row in rows):
-                    raise ValueError
-                flat = ",".join(rows).split(",")
-                for i, (column, t) in enumerate(zip(columns, types)):
-                    column.extend(map(t, flat[i::n]))
+                block = _parse_rows(lines, types)
             except ValueError:
-                _raise_malformed_row(path, lines, lineno, types)
+                for i, line in enumerate(lines, start=lineno):
+                    try:
+                        _parse_rows([line], types)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}: malformed row {i}: {exc}") from exc
+                raise
+            for column, values in zip(columns, block):
+                column.extend(values)
             lineno += len(lines)
     if not columns[0]:
         raise ValueError(f"{path}: {empty_message}")
     return columns
 
 
-def _raise_malformed_row(path, lines, lineno, types):
-    """Name the first line of ``lines`` (numbered from ``lineno``) that
-    does not hold one field per type, each converted by its type."""
-    for lineno, line in enumerate(lines, start=lineno):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        try:
-            if len(parts) != len(types):
-                raise ValueError(f"expected {len(types)} fields")
-            for t, part in zip(types, parts):
-                t(part)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed row {lineno}: {exc}") from exc
+def _parse_rows(lines, types):
+    """Columns of the non-blank ``lines``, each line holding one field per
+    type and each field converted by its type; ValueError otherwise."""
+    rows = [line for line in map(str.strip, lines) if line]
+    n = len(types)
+    if any(row.count(",") != n - 1 for row in rows):
+        raise ValueError(f"expected {n} fields")
+    flat = ",".join(rows).split(",") if rows else []
+    return [list(map(t, flat[i::n])) for i, t in enumerate(types)]
 
 
 def _trajectory_db(scenario: ScenarioConfig, wavelength_m, t):

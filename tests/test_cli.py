@@ -184,8 +184,10 @@ def test_sweep_rejects_bad_sizes(tmp_path, capsys, argv):
     (["simulate", "--preset", "bed", "--set", "link.tx=[0,0,0]"], "link.tx"),
     (["simulate", "--preset", "bed", "--set", 'baseline_dbm="abc"'],
      "baseline_dbm"),
+    (["simulate", "--preset", "bed", "--set", "duration_s=1" + "0" * 400],
+     "duration_s"),
 ], ids=["unknown-field", "unknown-section", "short-pair", "fractional-int",
-        "long-pair", "string-number"])
+        "long-pair", "string-number", "huge-int"])
 def test_bad_settings_exit_2_with_one_line(tmp_path, capsys, argv, names):
     if argv[0] == "estimate":
         argv = [*argv, "--trace", str(simulate(tmp_path))]

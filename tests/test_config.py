@@ -92,6 +92,10 @@ def test_absent_fields_take_the_dataclass_defaults():
     (KfConfig, {"meas_var": "1"}, "meas_var must be a finite number"),
     (KfConfig, {"meas_var": float("nan")}, "meas_var must be a finite number"),
     (GpConfig, {"kernel_var": float("inf")}, "kernel_var must be a finite"),
+    (KfConfig, {"meas_var": 10 ** 400}, "meas_var must be a finite number"),
+    (ScenarioConfig, {"link": {"tx": [0, 0], "rx": [1, 0]},
+                      "motion": {"rest": [0, 1]}, "seed": 10 ** 400},
+     "seed must be a finite number"),
     (ScenarioConfig, {"link": {"tx": [0, 0], "rx": [1, 0]},
                       "motion": {"rest": [0, 1]}, "model": 3},
      "model must be a string"),

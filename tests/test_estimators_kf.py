@@ -164,6 +164,9 @@ def test_input_validation():
     bad_t[5] = bad_t[4]
     with pytest.raises(EstimatorError, match="increasing"):
         kf_estimate(bad_t, np.zeros(10))
+    for rows in (np.zeros(10), np.zeros((1, 2, 10))):
+        with pytest.raises(EstimatorError, match="2-D"):
+            kf_estimate_batch(t, rows)
     with pytest.raises(EstimatorError):
         KfConfig(n_bins=0)
     with pytest.raises(EstimatorError):

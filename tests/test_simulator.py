@@ -200,6 +200,9 @@ def test_csv_load_reports_malformed_rows(tmp_path):
     path.write_text("time_s,channel_id,rss_db\n\n" + good + "0.0,x,1.5\n")
     with pytest.raises(ValueError, match="row 10003: invalid literal"):
         RssTrace.load_csv(path)
+    # Blank lines, enough to fill reads of their own, are skipped.
+    path.write_text("time_s,channel_id,rss_db\n" + good + " \n" * 50000)
+    assert len(RssTrace.load_csv(path).times_s) == 10000
     path.write_text("wrong,header,here\n")
     with pytest.raises(ValueError, match="header"):
         RssTrace.load_csv(path)
