@@ -38,10 +38,14 @@ class EstimateSeries:
         return self.times_s[mask], self.f_hat_hz[mask]
 
 
-def check_stream(times_s, values):
-    """Reject tracker input: ``values`` holds one stream, or a stack of
-    streams, sampled at ``times_s`` along its last axis."""
-    if values.shape[-1] != len(times_s):
+def check_rows(times_s, rows):
+    """Reject tracker input: ``rows`` holds one stream a row, each sampled
+    at ``times_s``.  Returns both as float arrays."""
+    times_s = np.asarray(times_s, dtype=float)
+    values = np.asarray(rows, dtype=float)
+    if values.ndim != 2:
+        raise EstimatorError("rows must be a 2-D array, one stream a row")
+    if values.shape[1] != len(times_s):
         raise EstimatorError("times and values must have equal length")
     if len(times_s) == 0:
         raise EstimatorError("empty input")
@@ -49,3 +53,4 @@ def check_stream(times_s, values):
         raise EstimatorError("measurements must be finite")
     if np.any(np.diff(times_s) <= 0):
         raise EstimatorError("timestamps must be strictly increasing")
+    return times_s, values

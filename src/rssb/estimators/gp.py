@@ -19,6 +19,10 @@ through each sigma point's rotation analytically, and the measurement
 update is the plain linear one (the observation does not involve the
 log-frequency directly).  Both steps symmetrize the covariance; its
 eigenvalue floor is checked by ``eigh`` only if a Cholesky test fails.
+
+:func:`gp_estimate_batch` steps any number of streams sampled at the
+same times in lockstep, on stacked means and covariances, each row bit
+for bit as it runs alone; :func:`gp_estimate` is the batch of one.
 """
 
 import math
@@ -28,7 +32,7 @@ import numpy as np
 from scipy import special
 from scipy.linalg.lapack import dpotrf
 
-from .common import EstimateSeries, EstimatorError, check_stream
+from .common import EstimateSeries, EstimatorError, check_rows
 
 
 def periodic_kernel(tau_s, kernel_var, lengthscale, freq_hz):
@@ -130,6 +134,27 @@ def _recondition(p, count):
     return sym, count
 
 
+def _recondition_stack(p, counts):
+    """:func:`_recondition` on each matrix of the stack ``p``.
+
+    The shifted Cholesky test runs on each matrix with the shift of
+    :func:`_recondition`; a matrix that fails it goes through
+    :func:`_recondition` itself, which adds to its entry of ``counts``
+    (a list, updated in place).  Returns the symmetrized stack.
+    """
+    sym = p + p.mT
+    sym /= 2
+    shifted = sym.copy()
+    diag = shifted.reshape(len(p), -1)[:, ::p.shape[-1] + 1]  # a view
+    diag -= 2e-12 * np.maximum(diag.sum(1), 1e-30)[:, None]
+    for r, mat in enumerate(shifted):
+        # mat is symmetric: its transpose is Fortran-ordered, so dpotrf
+        # factors it in place, without a copy
+        if dpotrf(mat.T, overwrite_a=True)[1] != 0:
+            sym[r], counts[r] = _recondition(p[r], counts[r])
+    return sym
+
+
 def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
     """Track the fundamental frequency and harmonic amplitudes of ``z``.
 
@@ -141,9 +166,20 @@ def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
     and ``recondition_count``, the number of times the eigenvalue floor
     fired (checked by ``eigh`` only when a Cholesky test fails).
     """
-    times_s = np.asarray(times_s, dtype=float)
-    z = np.asarray(z, dtype=float)
-    check_stream(times_s, z)
+    return gp_estimate_batch(times_s, [z], cfg)[0]
+
+
+def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
+    """:func:`gp_estimate` on each stream in ``rows``, sampled at ``times_s``.
+
+    All rows step together on stacked (rows, d) means and (rows, d, d)
+    covariances.  Each row's series is bit for bit the one a batch of
+    that row alone gives: every product is one BLAS call per matrix or
+    vector, as on a single row, and the log-frequency goes through
+    ``math.exp`` element by element.
+    """
+    times_s, z = check_rows(times_s, rows)
+    n_rows, n = z.shape
 
     nh = cfg.n_harmonics
     lin_dim = 1 + 2 * nh
@@ -158,77 +194,91 @@ def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
     h_row[1] = 1.0
     h_row[2::2] = 1.0
 
-    m = np.zeros(dim)
-    m[0] = cfg.init_log_freq
-    m[1] = z[0]
-    harm_var = [1.0 / (2.0 ** n * math.factorial(n)) for n in harmonics]
-    p = np.diag(np.r_[cfg.init_log_freq_var, cfg.init_dc_var,
-                      np.repeat(harm_var, 2)])
+    m = np.zeros((n_rows, dim))
+    m[:, 0] = cfg.init_log_freq
+    m[:, 1] = z[:, 0]
+    harm_var = [1.0 / (2.0 ** j * math.factorial(j)) for j in harmonics]
+    p = np.tile(np.diag(np.r_[cfg.init_log_freq_var, cfg.init_dc_var,
+                              np.repeat(harm_var, 2)]), (n_rows, 1, 1))
 
-    # linear dynamics per sigma point: identity DC, then a rotation by
-    # 2*pi*n*f*dt per harmonic with (cos, cos, sin, -sin) at ``rot_at``
-    a = np.tile(np.eye(lin_dim), (3, 1, 1))
-    cos_at = np.arange(1, lin_dim, 2) * (lin_dim + 1)
-    rot_at = np.r_[cos_at, cos_at + lin_dim + 1, cos_at + lin_dim, cos_at + 1]
+    # per-step terms of the dynamics, one entry per time delta
+    dts = np.diff(times_s)
+    log_freq_drift = 0.5 * cfg.freq_drift ** 2 * dts
+    log_freq_noise = cfg.freq_drift * dts
+    lin_noise = 2 * dts[:, None] * q_lin
+    lin_diag = slice(dim + 1, None, dim + 1)  # of a flattened d x d matrix
 
-    f_hat = np.empty(len(z))
-    recon = np.empty(len(z))
-    dc = np.empty(len(z))
-    harm_cos = np.empty((len(z), nh))
-    recondition_count = 0
+    # linear dynamics per row and sigma point: identity DC, then a
+    # rotation by 2*pi*n*f*dt per harmonic, written through strided
+    # views of the flattened blocks at (row, col) for j = 1, 3, ...
+    a = np.tile(np.eye(lin_dim), (n_rows, 3, 1, 1))
+    blocks = a.reshape(n_rows, 3, -1)
+    step = 2 * (lin_dim + 1)
+    cos_j = blocks[..., lin_dim + 1::step]       # cos at (j, j)
+    cos_j1 = blocks[..., step::step]             # cos at (j+1, j+1)
+    sin_lo = blocks[..., 2 * lin_dim + 1::step]  # sin at (j+1, j)
+    sin_up = blocks[..., lin_dim + 2::step]      # -sin at (j, j+1)
+    sigma_sign = np.array([0.0, 1.0, -1.0])
 
-    for k in range(len(z)):
+    history = np.empty((n_rows, n, dim))
+    counts = [0] * n_rows
+
+    for k in range(n):
         if k > 0:
-            dt = times_s[k] - times_s[k - 1]
             # Condition the linear substate on sigma points of the
             # log-frequency, propagate each branch, then re-merge moments.
-            pss = p[0, 0]
-            psl = p[0, 1:]
-            slope = psl / pss
-            pl_cond = p[1:, 1:] - np.outer(slope, psl)
-            spread = gamma * math.sqrt(pss)
-            s_pts = m[0] + np.array([0.0, spread, -spread])
-            s_pts_new = s_pts - 0.5 * cfg.freq_drift ** 2 * dt
+            pss = p[:, 0, 0]
+            psl = p[:, 0, 1:]
+            slope = psl / pss[:, None]
+            pl_cond = p[:, 1:, 1:] - slope[:, :, None] * psl[:, None, :]
+            spread = gamma * np.sqrt(pss)
+            s_pts = m[:, :1] + spread[:, None] * sigma_sign
+            s_pts_new = s_pts - log_freq_drift[k - 1]
 
-            freqs = np.array([math.exp(pt) for pt in s_pts_new])[:, None]
-            theta = 2 * np.pi * (freqs * harmonics) * dt
-            c, s = np.cos(theta), np.sin(theta)
-            a.reshape(3, -1)[:, rot_at] = np.concatenate([c, c, s, -s], 1)
-            lin_pts = np.empty((3, lin_dim))
-            rot_cov = np.zeros((lin_dim, lin_dim))
-            for j in range(3):
-                lin_pts[j] = a[j] @ (m[1:] + slope * (s_pts[j] - m[0]))
-                rot_cov += wm[j] * (a[j] @ pl_cond @ a[j].T)
+            # math.exp, not np.exp: the two differ in the last bit
+            freqs = np.array([math.exp(pt) for pt in s_pts_new.ravel()
+                              .tolist()]).reshape(n_rows, 3, 1)
+            theta = freqs * harmonics  # then 2 * pi * theta * dt
+            theta *= 2 * np.pi
+            theta *= dts[k - 1]
+            cos_j[...] = cos_j1[...] = np.cos(theta)
+            sin_lo[...] = np.sin(theta)
+            np.negative(sin_lo, out=sin_up)
+            lin_pts = np.matvec(a, m[:, None, 1:] + slope[:, None]
+                                * (s_pts - m[:, :1])[..., None])
+            # weighted branch covariances summed over j in order, from 0
+            rot_cov = np.add.reduce(
+                wm[:, None, None] * (a @ pl_cond[:, None] @ a.mT),
+                axis=1, initial=0.0)
 
-            s_mean = float(wm @ s_pts_new)
-            lin_mean = wm @ lin_pts
-            s_dev = s_pts_new - s_mean
-            lin_dev = lin_pts - lin_mean
+            s_mean = np.vecdot(wm, s_pts_new)
+            lin_mean = np.vecmat(wm, lin_pts)
+            s_dev = s_pts_new - s_mean[:, None]
+            lin_dev = lin_pts - lin_mean[:, None]
 
-            m[0] = s_mean
-            m[1:] = lin_mean
-            p[0, 0] = float(wc @ s_dev ** 2) + cfg.freq_drift * dt
-            p[0, 1:] = (wc * s_dev) @ lin_dev
-            p[1:, 0] = p[0, 1:]
-            p[1:, 1:] = (lin_dev.T * wc) @ lin_dev + rot_cov
-            p[1:, 1:].flat[::lin_dim + 1] += 2 * dt * q_lin  # its diagonal
-            p, recondition_count = _recondition(p, recondition_count)
+            m[:, 0] = s_mean
+            m[:, 1:] = lin_mean
+            p[:, 0, 0] = np.vecdot(wc, s_dev ** 2) + log_freq_noise[k - 1]
+            p[:, 0, 1:] = np.vecmat(wc * s_dev, lin_dev)
+            p[:, 1:, 0] = p[:, 0, 1:]
+            p[:, 1:, 1:] = (lin_dev.mT * wc) @ lin_dev + rot_cov
+            p.reshape(n_rows, -1)[:, lin_diag] += lin_noise[k - 1]
+            p = _recondition_stack(p, counts)
 
-        ph = p @ h_row
-        s_innov = float(h_row @ ph) + cfg.meas_var
-        gain = ph / s_innov
-        m = m + gain * (z[k] - float(h_row @ m))
-        p = p - np.outer(gain, ph)
-        p, recondition_count = _recondition(p, recondition_count)
+        ph = np.matvec(p, h_row)
+        gain = ph / (np.vecdot(h_row, ph) + cfg.meas_var)[:, None]
+        m = m + gain * (z[:, k] - np.vecdot(h_row, m))[:, None]
+        p -= gain[:, :, None] * ph[:, None]
+        p = _recondition_stack(p, counts)
+        history[:, k] = m
 
-        f_hat[k] = math.exp(m[0])
-        recon[k] = float(h_row @ m)
-        dc[k] = m[1]
-        harm_cos[k] = m[2::2]
-
-    return EstimateSeries(
-        method="gp", times_s=times_s.copy(), f_hat_hz=f_hat,
-        aux={"recon": recon, "dc": dc, "harmonic_cos": harm_cos,
-             "recondition_count": recondition_count,
-             "final_state": m.copy(), "final_cov": p.copy()},
-    )
+    f_hat = np.array([math.exp(s) for s in history[:, :, 0].ravel().tolist()])
+    f_hat = f_hat.reshape(n_rows, n)
+    recon = np.vecdot(h_row, history)
+    return [EstimateSeries(
+        method="gp", times_s=times_s.copy(), f_hat_hz=f_hat[r],
+        aux={"recon": recon[r], "dc": history[r, :, 1].copy(),
+             "harmonic_cos": history[r, :, 2::2].copy(),
+             "recondition_count": counts[r],
+             "final_state": m[r].copy(), "final_cov": p[r].copy()},
+    ) for r in range(n_rows)]

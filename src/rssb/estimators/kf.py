@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import EstimateSeries, EstimatorError, check_stream
+from .common import EstimateSeries, EstimatorError, check_rows
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,7 @@ def kf_estimate_batch(times_s, rows, cfg: KfConfig = KfConfig()):
     bit for bit the one :func:`kf_estimate` gives on that row alone; the
     series share one ``final_cov`` array.
     """
-    times_s = np.asarray(times_s, dtype=float)
-    z = np.asarray(rows, dtype=float)
-    if z.ndim != 2:
-        raise EstimatorError("rows must be a 2-D array, one stream a row")
-    check_stream(times_s, z)
+    times_s, z = check_rows(times_s, rows)
 
     grid = cfg.grid_hz()
     nb = cfg.n_bins

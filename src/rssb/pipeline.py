@@ -10,11 +10,11 @@ DC-keeping stream ``z`` on the original, possibly uneven timestamps.
 
 from .dsp import FilterSpec, is_uniform, preprocess, resample_uniform
 from .estimators import (DftConfig, GpConfig, KfConfig, dft_estimate,
-                         gp_estimate, kf_estimate_batch)
+                         gp_estimate_batch, kf_estimate_batch)
 
 
 def _each_row(estimator):
-    """Batch form of a single-stream estimator: one call per row."""
+    """Batch form of a single-stream estimator (dft): one call per row."""
     def batch(times_s, rows, cfg):
         return [estimator(times_s, row, cfg) for row in rows]
     return batch
@@ -23,12 +23,13 @@ def _each_row(estimator):
 ESTIMATORS = {
     "dft": (_each_row(dft_estimate), DftConfig),
     "kf": (kf_estimate_batch, KfConfig),
-    "gp": (_each_row(gp_estimate), GpConfig),
+    "gp": (gp_estimate_batch, GpConfig),
 }
 """Method name -> (batch function, config class).
 
 A batch function maps ``(times_s, rows, cfg)`` to one EstimateSeries
-per row of ``rows``, every row sampled at ``times_s``.
+per row of ``rows``, every row sampled at ``times_s``.  kf and gp step
+all rows together; dft runs row by row.
 """
 
 
@@ -58,10 +59,10 @@ def estimate_batch(times_s, rows, fs, methods, configs=None,
                    filter_spec=FilterSpec()):
     """:func:`estimate` on each stream in ``rows``, sampled at ``times_s``.
 
-    Each method runs once over all rows, so work that depends only on
-    the timestamps (the kf covariance recursion) is done once.  Returns
-    one dict per row, each equal to what :func:`estimate` gives on that
-    row alone.
+    Each method runs once over all rows: kf runs its covariance
+    recursion, which depends only on the timestamps, once, and gp steps
+    the states of all rows in lockstep.  Returns one dict per row, each
+    equal to what :func:`estimate` gives on that row alone.
     """
     unknown = [m for m in methods if m not in ESTIMATORS]
     if unknown:

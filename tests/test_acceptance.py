@@ -18,7 +18,7 @@ from rssb.dsp import FilterSpec, design_lowpass, preprocess
 from rssb.estimators import GpConfig
 from rssb.evaluation import (convergence_split, convergence_time_s, snr_sweep)
 from rssb.figures import truncation_rmse
-from rssb.pipeline import estimate, estimate_batch
+from rssb.pipeline import estimate_batch
 from rssb.presets import (bed_scenario, drifting_scenario, midline_scenario,
                           second_harmonic_scenario)
 from rssb.rss_model import (ReflectionState, dilog, linear_harmonics,
@@ -54,8 +54,8 @@ def first_channel(scenario):
     return trace.for_channel(trace.channels()[0])
 
 
-def seed_batch(base, seeds):
-    """Every method's estimates on the first channel of each seed.
+def seed_batch(base, seeds, methods=METHODS, configs=None):
+    """The estimates of ``methods`` on the first channel of each seed.
 
     The seeds' traces share one time grid, so they run as one batch.
     """
@@ -63,7 +63,7 @@ def seed_batch(base, seeds):
     times_s = channels[0][0]
     assert all(np.array_equal(t, times_s) for t, _ in channels)
     return estimate_batch(times_s, [values for _, values in channels],
-                          base.sample_rate_hz, METHODS)
+                          base.sample_rate_hz, methods, configs)
 
 
 def late_mean_bpm(series, settle_s=30.0):
@@ -251,13 +251,14 @@ def test_11_gp_reconstruction_improves_with_harmonics():
     n_seeds = 20
     errors = {order: [] for order in (1, 2, 3)}
     base = second_harmonic_scenario()
-    for seed in range(n_seeds):
-        t, values = first_channel(replace(base, seed=seed))
-        _, z = preprocess(values, FilterSpec(), base.sample_rate_hz)
-        settled = t > 30.0
-        for order in errors:
-            series = estimate(t, values, base.sample_rate_hz, ("gp",),
-                              {"gp": GpConfig(n_harmonics=order)})["gp"]
+    zs = [preprocess(first_channel(replace(base, seed=seed))[1], FilterSpec(),
+                     base.sample_rate_hz)[1] for seed in range(n_seeds)]
+    for order in errors:
+        for z, results in zip(zs, seed_batch(
+                base, range(n_seeds), ("gp",),
+                {"gp": GpConfig(n_harmonics=order)})):
+            series = results["gp"]
+            settled = series.times_s > 30.0
             recon = series.aux["recon"]
             errors[order].append(
                 float(np.mean(np.abs(recon[settled] - z[settled]))))

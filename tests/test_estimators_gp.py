@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rssb.estimators import (EstimatorError, GpConfig, gp_estimate,
-                             kernel_cosine_truncation, kernel_cosine_weights,
-                             kf_estimate, periodic_kernel)
-from rssb.estimators.gp import _recondition, _sigma_weights
+                             gp_estimate_batch, kernel_cosine_truncation,
+                             kernel_cosine_weights, kf_estimate,
+                             periodic_kernel)
+from rssb.estimators.gp import (_recondition, _recondition_stack,
+                                _sigma_weights)
 
 FS = 31.25
 AUX_KEYS = ("recon", "dc", "harmonic_cos", "final_state", "final_cov",
@@ -228,6 +230,9 @@ def test_input_validation():
         gp_estimate([], [])
     with pytest.raises(EstimatorError, match="finite"):
         gp_estimate(t, np.r_[np.zeros(9), np.inf])
+    for rows in (np.zeros(10), np.zeros((1, 2, 10))):
+        with pytest.raises(EstimatorError, match="2-D"):
+            gp_estimate_batch(t, rows)
     with pytest.raises(EstimatorError):
         GpConfig(n_harmonics=0)
     with pytest.raises(EstimatorError):
@@ -277,3 +282,56 @@ def test_recondition_matches_eigh_rule(dim, seed, log_scale, log_min,
     want, fired = eigh_recondition(p)
     assert count == 5 + fired
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_rows=st.integers(1, 4), n=st.integers(2, 120), drops=st.booleans(),
+       n_harmonics=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_batch_rows_equal_single_runs(n_rows, n, drops, n_harmonics, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / FS
+    if drops:
+        keep = rng.random(n) >= 0.1
+        keep[:2] = True
+        t = t[keep]
+    rows = rng.normal(0, 1, (n_rows, len(t))) + np.sin(2 * np.pi * 0.2 * t)
+    cfg = GpConfig(n_harmonics=n_harmonics)
+    batch = gp_estimate_batch(t, rows, cfg)
+    assert len(batch) == n_rows
+    for z, series in zip(rows, batch):
+        single = gp_estimate(t, z, cfg)
+        assert_same_as_reference(series, single.f_hat_hz, single.aux)
+
+
+def near_floor_covariance(dim, seed, log_scale, log_min, negative):
+    """The matrix drawn by ``test_recondition_matches_eigh_rule``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    vals = 10.0 ** rng.uniform(log_min, 0.0, dim)
+    vals[0], vals[1] = 1.0, 10.0 ** log_min * (-1 if negative else 1)
+    scale = 10.0 ** log_scale
+    p = (q * (vals * scale)) @ q.T
+    return p + rng.normal(0, 1e-17 * scale, (dim, dim))
+
+
+matrix_draws = st.tuples(st.integers(0, 2**32 - 1), st.floats(-45.0, 3.0),
+                         st.floats(-15.0, -9.0), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.sampled_from([4, 6, 8]),
+       draws=st.lists(matrix_draws, min_size=1, max_size=6))
+@example(dim=6, draws=[(0, -20.0, -11.5, False), (0, -43.0, -15.0, False),
+                       (0, -20.0, -12.0, False)])
+def test_stacked_gate_matches_recondition(dim, draws):
+    # rows on either side of the floor in one stack (in the example: one
+    # passes the Cholesky test, one fails it and is floored, one fails
+    # it and is not): each must come out as _recondition gives it alone,
+    # with its own count
+    stack = np.array([near_floor_covariance(dim, *draw) for draw in draws])
+    counts = [10 * r for r in range(len(draws))]
+    got = _recondition_stack(stack, counts)
+    for r, p in enumerate(stack):
+        want, count = _recondition(p, 10 * r)
+        assert counts[r] == count
+        assert np.array_equal(got[r], want)
