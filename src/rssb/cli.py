@@ -221,8 +221,8 @@ def cmd_evaluate(args):
 
 def cmd_sweep(args):
     scenario = _resolve_scenario(args)
-    targets = ([float(x) for x in args.targets.split(",")] if args.targets
-               else list(range(-18, -2, 2)))
+    targets = ([float(x) for x in args.targets.split(",")]
+               if args.targets is not None else list(range(-18, -2, 2)))
     methods = tuple(args.methods.split(","))
     unknown = set(methods) - set(METHODS)
     if unknown:
@@ -305,7 +305,8 @@ def build_parser():
 
     p = sub.add_parser("sweep", parents=[scenario_opts],
                        help="hit ratio across an injected-SNR grid")
-    p.add_argument("--targets", help="comma-separated SNR targets in dB "
+    p.add_argument("--targets", help="comma-separated SNR targets in dB, "
+                                     "e.g. --targets=-18,-12,-6 "
                                      "(default -18..-4 step 2)")
     p.add_argument("--seeds", type=int, default=25,
                    help="seeds per SNR target")

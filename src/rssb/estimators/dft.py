@@ -6,6 +6,9 @@ largest in-band PSD bin.  No taper is applied; the window advances by
 ``hop_samples`` (one sample reproduces the reference configuration of
 a 30 s window with maximum overlap).  The windows are transformed in
 blocks, one ``rfft`` call per block, and only the in-band bins are kept.
+:func:`dft_estimate_batch` takes several streams sampled at the same
+times, and a block then holds windows of every stream;
+:func:`dft_estimate` is the batch of one.
 """
 
 from dataclasses import dataclass
@@ -14,9 +17,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..dsp import is_uniform
-from .common import EstimateSeries, EstimatorError
+from .common import EstimateSeries, EstimatorError, check_rows
 
-# Windows per rfft call: a block's padded input and full spectrum stay
+# Windows per rfft call, counted over all rows of a batch (at least one
+# window a row): a block's padded input and full spectrum stay
 # near 1 MB each at the default 2048-point DFT.  Timings on a bed trace
 # were flat from 16 to 512.
 _WINDOWS_PER_FFT = 64
@@ -69,11 +73,19 @@ def dft_estimate(times_s, y, cfg: DftConfig = DftConfig()) -> EstimateSeries:
         ``band_hz`` are not kept) and the per-window dominant-tone
         reconstruction (``recon``), evaluated at the window end.
     """
-    times_s = np.asarray(times_s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(times_s) != len(y):
-        raise EstimatorError("times and values must have equal length")
-    if len(y) < 2:
+    return dft_estimate_batch(times_s, [y], cfg)[0]
+
+
+def dft_estimate_batch(times_s, rows, cfg: DftConfig = DftConfig()):
+    """:func:`dft_estimate` on each stream in ``rows``, sampled at ``times_s``.
+
+    Each block of windows, taken from all rows, goes through one
+    ``rfft`` call.  Each row's series is bit for bit the one
+    :func:`dft_estimate` gives on that row alone; the rows' ``psd``
+    arrays are views into one (rows, windows, bins) array.
+    """
+    times_s, y = check_rows(times_s, rows)
+    if len(times_s) < 2:
         raise EstimatorError("signal too short")
     if not is_uniform(times_s):
         raise EstimatorError(
@@ -83,9 +95,9 @@ def dft_estimate(times_s, y, cfg: DftConfig = DftConfig()) -> EstimateSeries:
     if cfg.n_dft < nw:
         raise EstimatorError(
             f"n_dft ({cfg.n_dft}) must be at least the window length ({nw})")
-    if len(y) < nw:
+    if len(times_s) < nw:
         raise EstimatorError(
-            f"signal has {len(y)} samples but one window needs {nw}; "
+            f"signal has {len(times_s)} samples but one window needs {nw}; "
             "provide a longer trace")
 
     freqs = np.fft.rfftfreq(cfg.n_dft, d=1.0 / fs)
@@ -97,22 +109,31 @@ def dft_estimate(times_s, y, cfg: DftConfig = DftConfig()) -> EstimateSeries:
     in_band = slice(band_idx[0], band_idx[-1] + 1)  # freqs increase
     band_freqs = freqs[in_band]
 
-    starts = np.arange(0, len(y) - nw + 1, cfg.hop_samples)
-    windows = sliding_window_view(y, nw)[::cfg.hop_samples]
-    spec = np.empty((len(starts), len(band_freqs)), dtype=complex)
-    for j in range(0, len(starts), _WINDOWS_PER_FFT):
-        block = windows[j:j + _WINDOWS_PER_FFT]
-        spec[j:j + len(block)] = np.fft.rfft(block, cfg.n_dft)[:, in_band]
-    psd = np.abs(spec) ** 2
-    peak = np.argmax(psd, axis=1)  # first max: lower f wins
+    n_rows = len(y)
+    starts = np.arange(0, len(times_s) - nw + 1, cfg.hop_samples)
+    windows = sliding_window_view(y, nw, axis=1)[:, ::cfg.hop_samples]
+    psd = np.empty((n_rows, len(starts), len(band_freqs)))
+    peak = np.empty((n_rows, len(starts)), dtype=np.intp)
+    peak_spec = np.empty((n_rows, len(starts)), dtype=complex)
+    # Only each window's psd and peak bin outlive the block's spectrum.
+    # rfft takes a contiguous copy of the block's windows faster than the
+    # strided view, whose (rows, windows) loop it runs row by row.
+    step = max(1, _WINDOWS_PER_FFT // n_rows)
+    for j in range(0, len(starts), step):
+        block = slice(j, j + step)
+        spec = np.fft.rfft(np.ascontiguousarray(windows[:, block]),
+                           cfg.n_dft)[..., in_band]
+        psd[:, block] = np.abs(spec) ** 2
+        peak[:, block] = np.argmax(psd[:, block], axis=2)  # lower f wins
+        peak_spec[:, block] = np.take_along_axis(
+            spec, peak[:, block, None], axis=2)[..., 0]
     f_hat = band_freqs[peak]
-    peak_spec = spec[np.arange(len(starts)), peak]
     amp = 2 * np.abs(peak_spec) / nw
     phase = np.angle(peak_spec)
     recon = amp * np.cos(2 * np.pi * f_hat * (nw - 1) / fs + phase)
 
-    return EstimateSeries(
-        method="dft", times_s=times_s[starts + nw - 1], f_hat_hz=f_hat,
-        aux={"psd": psd, "freq_hz": band_freqs, "recon": recon,
+    return [EstimateSeries(
+        method="dft", times_s=times_s[starts + nw - 1], f_hat_hz=f_hat[r],
+        aux={"psd": psd[r], "freq_hz": band_freqs, "recon": recon[r],
              "window_start_s": times_s[starts], "sample_rate_hz": fs},
-    )
+    ) for r in range(n_rows)]

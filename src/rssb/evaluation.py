@@ -269,8 +269,10 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    cells = [(float(snr), seed)
-             for snr in snr_targets_db for seed in range(n_seeds)]
+    targets = [float(snr) for snr in snr_targets_db]
+    if not all(map(math.isfinite, targets)):
+        raise ValueError(f"SNR targets must be finite, got {targets}")
+    cells = [(snr, seed) for snr in targets for seed in range(n_seeds)]
     # a multiple of jobs chunks of near-equal size keeps the workers even
     n_chunks = jobs * max(1, -(-len(cells) // (jobs * _MAX_CHUNK_CELLS)))
     bounds = [len(cells) * i // n_chunks for i in range(n_chunks + 1)]

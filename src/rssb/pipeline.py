@@ -6,22 +6,17 @@ runs the estimators through :func:`estimate`, or through its batch form
 methods see the same preprocessing: the periodogram takes the
 mean-removed stream ``y`` on a uniform grid, the trackers take the
 DC-keeping stream ``z`` on the original, possibly uneven timestamps.
+All three methods take rows: one call runs a method on every stream of
+a batch.
 """
 
 from .dsp import FilterSpec, is_uniform, preprocess, resample_uniform
-from .estimators import (DftConfig, GpConfig, KfConfig, dft_estimate,
+from .estimators import (DftConfig, GpConfig, KfConfig, dft_estimate_batch,
                          gp_estimate_batch, kf_estimate_batch)
 
 
-def _each_row(estimator):
-    """Batch form of a single-stream estimator (dft): one call per row."""
-    def batch(times_s, rows, cfg):
-        return [estimator(times_s, row, cfg) for row in rows]
-    return batch
-
-
 ESTIMATORS = {
-    "dft": (_each_row(dft_estimate), DftConfig),
+    "dft": (dft_estimate_batch, DftConfig),
     "kf": (kf_estimate_batch, KfConfig),
     "gp": (gp_estimate_batch, GpConfig),
 }
@@ -29,7 +24,8 @@ ESTIMATORS = {
 
 A batch function maps ``(times_s, rows, cfg)`` to one EstimateSeries
 per row of ``rows``, every row sampled at ``times_s``.  kf and gp step
-all rows together; dft runs row by row.
+all rows together, and dft transforms the windows of all rows in shared
+blocks.
 """
 
 
@@ -60,8 +56,9 @@ def estimate_batch(times_s, rows, fs, methods, configs=None,
     """:func:`estimate` on each stream in ``rows``, sampled at ``times_s``.
 
     Each method runs once over all rows: kf runs its covariance
-    recursion, which depends only on the timestamps, once, and gp steps
-    the states of all rows in lockstep.  Returns one dict per row, each
+    recursion, which depends only on the timestamps, once, gp steps
+    the states of all rows in lockstep, and dft runs one ``rfft`` per
+    block of windows from all rows.  Returns one dict per row, each
     equal to what :func:`estimate` gives on that row alone.
     """
     unknown = [m for m in methods if m not in ESTIMATORS]

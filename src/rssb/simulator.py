@@ -16,6 +16,7 @@ the expansions can be validated against an exact waveform.
 """
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,8 +147,9 @@ def read_csv_columns(path, header, empty_message, types):
     """Columns of a CSV file with a fixed header, converted by ``types``.
 
     Blank lines are skipped; every other line must hold one field per
-    type.  A wrong header, a malformed row (reported by line number)
-    and a file without rows raise ValueError.
+    type, and a float field must be finite.  A wrong header, a
+    malformed row (reported by line number) and a file without rows
+    raise ValueError.
     """
     columns = [[] for _ in types]
     with open(path) as fh:
@@ -178,13 +180,18 @@ def read_csv_columns(path, header, empty_message, types):
 
 def _parse_rows(lines, types):
     """Columns of the non-blank ``lines``, each line holding one field per
-    type and each field converted by its type; ValueError otherwise."""
+    type and each field converted by its type, floats finite; ValueError
+    otherwise."""
     rows = [line for line in map(str.strip, lines) if line]
     n = len(types)
     if any(row.count(",") != n - 1 for row in rows):
         raise ValueError(f"expected {n} fields")
     flat = ",".join(rows).split(",") if rows else []
-    return [list(map(t, flat[i::n])) for i, t in enumerate(types)]
+    columns = [list(map(t, flat[i::n])) for i, t in enumerate(types)]
+    for t, column in zip(types, columns):
+        if t is float and not all(map(math.isfinite, column)):
+            raise ValueError("values must be finite")
+    return columns
 
 
 def _trajectory_db(scenario: ScenarioConfig, wavelength_m, t):

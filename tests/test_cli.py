@@ -148,6 +148,17 @@ def test_sweep_writes_expected_csv(tmp_path):
     assert manifest["config"]["snr_targets_db"] == [0.0]
 
 
+def test_sweep_takes_negative_targets_after_equals(tmp_path):
+    # as in the README: "--targets -6,-4" would read -6,-4 as an option
+    out = tmp_path / "sweep.csv"
+    rc = run(["sweep", "--preset", "bed", "--set", "duration_s=40",
+              "--targets=-6,-4", "--seeds", "1", "--methods", "dft",
+              "--out", str(out)])
+    assert rc == 0
+    _, rows = read_rows(out)
+    assert [row[:2] for row in rows] == [["-6.0", "dft"], ["-4.0", "dft"]]
+
+
 def test_sweep_rejects_unknown_method(tmp_path, capsys):
     rc = run(["sweep", "--preset", "bed", "--targets", "0", "--seeds", "1",
               "--methods", "f162", "--out", str(tmp_path / "s.csv")])
@@ -155,23 +166,34 @@ def test_sweep_rejects_unknown_method(tmp_path, capsys):
     assert "unknown methods" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--preset", "bed", "--targets", "0", "--seeds", "0"],
-    ["sweep", "--preset", "bed", "--targets", "0", "--seeds", "-1"],
-    ["sweep", "--preset", "bed", "--targets", "0", "--jobs", "0"],
-    ["sweep", "--preset", "bed", "--targets", "0", "--jobs", "-3"],
-    ["figures", "--which", "fig6c", "--seeds", "0"],
-    ["figures", "--seeds", "0"],
-    ["figures", "--jobs", "0"],
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--preset", "bed", "--targets", "0", "--seeds", "0"],
+     "at least 1"),
+    (["sweep", "--preset", "bed", "--targets", "0", "--seeds", "-1"],
+     "at least 1"),
+    (["sweep", "--preset", "bed", "--targets", "0", "--jobs", "0"],
+     "at least 1"),
+    (["sweep", "--preset", "bed", "--targets", "0", "--jobs", "-3"],
+     "at least 1"),
+    (["figures", "--which", "fig6c", "--seeds", "0"], "at least 1"),
+    (["figures", "--seeds", "0"], "at least 1"),
+    (["figures", "--jobs", "0"], "at least 1"),
+    (["sweep", "--preset", "bed", "--targets", "nan", "--seeds", "1"],
+     "finite"),
+    (["sweep", "--preset", "bed", "--targets=-6,inf", "--seeds", "1"],
+     "finite"),
+    (["sweep", "--preset", "bed", "--targets", "", "--seeds", "1"],
+     "could not convert"),
 ], ids=["seeds0", "seeds-1", "jobs0", "jobs-3", "figures-seeds0",
-        "figures-all-seeds0", "figures-all-jobs0"])
-def test_sweep_rejects_bad_sizes(tmp_path, capsys, argv):
+        "figures-all-seeds0", "figures-all-jobs0", "targets-nan",
+        "targets-inf", "targets-empty"])
+def test_sweep_rejects_bad_sizes(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     rc = run([*argv, "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "at least 1" in err
+    assert message in err
     assert not out.exists()
 
 
@@ -269,3 +291,34 @@ def test_missing_config_file_is_reported(tmp_path, capsys):
               "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_csv_value_exits_2(tmp_path, capsys, bad):
+    trace = simulate(tmp_path)
+    estimates = tmp_path / "estimates.csv"
+    assert run(["estimate", "--trace", str(trace), "--method", "dft",
+                "--out", str(estimates)]) == 0
+
+    def spoil(path, column):
+        lines = path.read_text().splitlines()
+        fields = lines[100].split(",")
+        fields[column] = bad
+        lines[100] = ",".join(fields)
+        spoiled = path.with_name("bad_" + path.name)
+        spoiled.write_text("\n".join(lines) + "\n")
+        return str(spoiled)
+
+    evaluate = ["evaluate", "--true-freq-hz", str(TRUE_FREQ_HZ)]
+    cases = [["estimate", "--trace", spoil(trace, 2), "--method", "dft"],
+             [*evaluate, "--estimates", str(estimates),
+              "--trace", spoil(trace, 2)],
+             [*evaluate, "--estimates", spoil(estimates, 2)]]
+    capsys.readouterr()
+    for argv in cases:
+        out = tmp_path / "out"
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "malformed row 101: values must be finite" in err
+        assert not out.exists()

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rssb.estimators import DftConfig, EstimatorError, dft_estimate
+from rssb.estimators import (DftConfig, EstimatorError, dft_estimate,
+                             dft_estimate_batch)
 from rssb.estimators.dft import _WINDOWS_PER_FFT
 
 FS = 31.25
@@ -151,11 +154,50 @@ def test_matches_per_window_reference(hop):
     rng = np.random.default_rng(hop)
     t = np.arange(n) / FS
     y = np.sin(2 * np.pi * 0.27 * t) + rng.normal(0, 1.0, n)
-    series = dft_estimate(t, y, cfg)
-    f_hat, recon, psd, freqs = dft_reference(t, y, cfg)
-    assert len(series) == n_windows
-    assert np.array_equal(series.f_hat_hz, f_hat)
-    assert np.array_equal(series.aux["recon"], recon)
-    band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
-    assert np.array_equal(series.aux["freq_hz"], freqs[band])
-    assert np.array_equal(series.aux["psd"], psd[:, band])
+    # alone, and as the first of three rows, whose blocks hold a third
+    # as many windows each
+    rows = [y, rng.normal(0, 1.0, n), np.cos(2 * np.pi * 0.6 * t)]
+    for z, series in [(y, dft_estimate(t, y, cfg)),
+                      *zip(rows, dft_estimate_batch(t, rows, cfg))]:
+        f_hat, recon, psd, freqs = dft_reference(t, z, cfg)
+        assert len(series) == n_windows
+        assert np.array_equal(series.f_hat_hz, f_hat)
+        assert np.array_equal(series.aux["recon"], recon)
+        band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
+        assert np.array_equal(series.aux["freq_hz"], freqs[band])
+        assert np.array_equal(series.aux["psd"], psd[:, band])
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_rows=st.integers(1, 4), hop=st.integers(1, 40),
+       n_windows=st.integers(1, 2 * _WINDOWS_PER_FFT + 5),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_rows=3, hop=1, n_windows=_WINDOWS_PER_FFT // 3 + 1, seed=0)
+def test_batch_rows_equal_single_runs(n_rows, hop, n_windows, seed):
+    # up to 4 rows: blocks of 16-64 windows a row, so the window counts
+    # drawn cross a block boundary of the batch, of a single run or both
+    cfg = DftConfig(hop_samples=hop)
+    n = cfg.window_samples(FS) + (n_windows - 1) * hop
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / FS
+    rows = rng.normal(0, 1, (n_rows, n)) + np.sin(2 * np.pi * 0.3 * t)
+    batch = dft_estimate_batch(t, rows, cfg)
+    assert len(batch) == n_rows
+    for y, series in zip(rows, batch):
+        single = dft_estimate(t, y, cfg)
+        assert len(series) == n_windows
+        assert np.array_equal(series.times_s, single.times_s)
+        assert np.array_equal(series.f_hat_hz, single.f_hat_hz)
+        for key in ("psd", "recon", "freq_hz", "window_start_s"):
+            assert np.array_equal(series.aux[key], single.aux[key])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_row_is_rejected(bad):
+    t, y = tone(0.25, 35.0)
+    rows = np.array([y, y])
+    rows[1, 500] = bad
+    with pytest.raises(EstimatorError, match="finite"):
+        dft_estimate_batch(t, rows)
+    with pytest.raises(EstimatorError, match="finite"):
+        dft_estimate(t, rows[1])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rssb.dsp import is_uniform, resample_uniform
 from rssb.geometry import C_LIGHT, DegenerateGeometryError, LinkGeometry
+from rssb.pipeline import estimate
 from rssb.presets import bed_scenario, midline_scenario
 from rssb.rss_model import log_harmonics, ratio_db_exact, reflection_state
 from rssb.simulator import (RssTrace, ScenarioConfig, ScenarioError,
@@ -191,6 +192,21 @@ def test_csv_round_trip_is_exact(tmp_path_factory, rate_hz, drop_prob, seed):
     assert len(grid) == round((t1[-1] - t1[0]) * rate_hz) + 1
 
 
+@pytest.mark.parametrize("drop_prob", [0.0, 0.1])
+def test_loaded_trace_gives_the_same_estimates(tmp_path, drop_prob):
+    # 40 s: longer than the 30 s dft window, unlike the traces above
+    scenario = bed_scenario(duration_s=40.0, drop_prob=drop_prob, seed=11)
+    trace = synthesize(scenario)
+    trace.save_csv(tmp_path / "trace.csv")
+    loaded = RssTrace.load_csv(tmp_path / "trace.csv")
+    methods = ("dft", "kf", "gp")
+    want = estimate(*trace.for_channel(0), scenario.sample_rate_hz, methods)
+    got = estimate(*loaded.for_channel(0), loaded.nominal_rate_hz(), methods)
+    for method in methods:
+        assert len(got[method]) > 0
+        assert np.array_equal(got[method].f_hat_hz, want[method].f_hat_hz)
+
+
 def test_csv_load_reports_malformed_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time_s,channel_id,rss_db\n0.0,0,1.5\noops,0\n")
@@ -200,6 +216,11 @@ def test_csv_load_reports_malformed_rows(tmp_path):
     path.write_text("time_s,channel_id,rss_db\n\n" + good + "0.0,x,1.5\n")
     with pytest.raises(ValueError, match="row 10003: invalid literal"):
         RssTrace.load_csv(path)
+    for bad in ("nan,0,1.5", "0.0,0,inf", "0.0,0,-Infinity"):
+        path.write_text("time_s,channel_id,rss_db\n" + good + bad + "\n")
+        with pytest.raises(ValueError,
+                           match="row 10002: values must be finite"):
+            RssTrace.load_csv(path)
     # Blank lines, enough to fill reads of their own, are skipped.
     path.write_text("time_s,channel_id,rss_db\n" + good + " \n" * 50000)
     assert len(RssTrace.load_csv(path).times_s) == 10000
