@@ -7,6 +7,7 @@ causal; no zero-phase tricks, so the output is what an online system
 would see.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +45,16 @@ class FilterSpec:
             raise FilterDesignError("ripple and attenuation must be positive")
 
 
+@functools.lru_cache
 def design_lowpass(spec: FilterSpec, sample_rate_hz) -> np.ndarray:
     """Design the elliptic low-pass as second-order sections.
 
     The returned cascade is checked against the template on a dense
     frequency grid: ripple within the passband, attenuation beyond the
     stopband edge, and unity DC gain.  A spec the order cannot satisfy
-    raises FilterDesignError with the achieved numbers.
+    raises FilterDesignError with the achieved numbers, on every call.
+    Each (spec, rate) is designed once; the cascade returned is shared
+    and read-only.
     """
     if spec.stopband_hz >= sample_rate_hz / 2:
         raise FilterDesignError(
@@ -71,6 +75,7 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz) -> np.ndarray:
             f"order-{spec.order} design misses the template: passband "
             f"deviation {pass_dev.max():.4f} dB, stopband maximum "
             f"{stop_max:.2f} dB, DC gain {dc_gain:.12f}")
+    sos.flags.writeable = False
     return sos
 
 
@@ -91,7 +96,7 @@ def preprocess(values, spec: FilterSpec, sample_rate_hz):
         raise ValueError("values must be a 1-D sample stream")
     if len(values) == 0:
         raise ValueError("values must not be empty")
-    sos = design_lowpass(spec, sample_rate_hz)
+    sos = design_lowpass(spec, sample_rate_hz).copy()  # sosfilt writes
     z = signal.sosfilt(sos, values)
     y = signal.sosfilt(sos, values - values.mean())
     return y, z

@@ -220,8 +220,8 @@ def noise_std_for_snr(scenario: ScenarioConfig, snr_db,
 # Cells per unit of sweep work.  A worker holds the estimate series of
 # every cell of a unit until it has scored them, so this bounds its
 # memory (96 bed cells of dft and kf peak at 302 MB in one unit, 176 MB
-# in units of 32); each unit runs the kf covariance recursion once per
-# time grid.
+# in units of 32).  kf runs its covariance recursion once per drop-free
+# time grid in each worker process and reuses it across units.
 _MAX_CHUNK_CELLS = 32
 
 

@@ -56,7 +56,7 @@ def estimate_batch(times_s, rows, fs, methods, configs=None,
     """:func:`estimate` on each stream in ``rows``, sampled at ``times_s``.
 
     Each method runs once over all rows: kf runs its covariance
-    recursion, which depends only on the timestamps, once, gp steps
+    recursion, which depends only on the timestamps, at most once, gp steps
     the states of all rows in lockstep, and dft runs one ``rfft`` per
     block of windows from all rows.  Returns one dict per row, each
     equal to what :func:`estimate` gives on that row alone.

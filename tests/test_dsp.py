@@ -40,6 +40,19 @@ def test_infeasible_specs_are_rejected():
         FilterSpec(order=0)
 
 
+def test_design_is_shared_read_only_and_failures_repeat():
+    sos = design_lowpass(FilterSpec(), FS)
+    assert design_lowpass(FilterSpec(), FS) is sos
+    with pytest.raises(ValueError, match="read-only"):
+        sos[0, 0] = 0.0
+    # lru_cache keeps no exception: a spec that fails fails every call
+    for _ in range(2):
+        with pytest.raises(FilterDesignError, match="misses"):
+            design_lowpass(FilterSpec(order=1), FS)
+        with pytest.raises(FilterDesignError, match="Nyquist"):
+            design_lowpass(FilterSpec(stopband_hz=20.0), FS)
+
+
 def test_constant_input_splits_into_zero_and_constant():
     values = np.full(2000, 7.5)
     y, z = preprocess(values, FilterSpec(), FS)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from rssb.estimators import (EstimatorError, KfConfig, kf_estimate,
                              kf_estimate_batch)
+from rssb.estimators import kf as kf_module
 
 FS = 31.25
 ROW_KEYS = ("recon", "peak_amp", "dc", "final_cov")
@@ -61,6 +62,41 @@ def assert_same_series(series, f_hat, aux):
     assert np.array_equal(series.f_hat_hz, f_hat)
     for key in ROW_KEYS:
         assert np.array_equal(series.aux[key], aux[key]), key
+
+
+def assert_same_outputs(batch, other):
+    """Two batches equal bit for bit in f_hat and every aux key."""
+    assert len(batch) == len(other)
+    for a, b in zip(batch, other):
+        assert np.array_equal(a.times_s, b.times_s)
+        assert np.array_equal(a.f_hat_hz, b.f_hat_hz)
+        assert a.aux.keys() == b.aux.keys()
+        for key in a.aux:
+            assert np.array_equal(a.aux[key], b.aux[key]), key
+
+
+def cold_run(monkeypatch, times_s, rows, cfg=KfConfig()):
+    """kf_estimate_batch with nothing retained from earlier calls."""
+    monkeypatch.setattr(kf_module, "_retained", None)
+    return kf_estimate_batch(times_s, rows, cfg)
+
+
+def count_recursions(monkeypatch):
+    """Count the runs of kf's gain recursion from here on."""
+    runs = []
+    recursion = kf_module._gain_recursion
+
+    def counted(*args):
+        runs.append(1)
+        return recursion(*args)
+    monkeypatch.setattr(kf_module, "_gain_recursion", counted)
+    return runs
+
+
+def noisy_rows(seed, times_s, n_rows=2):
+    rng = np.random.default_rng(seed)
+    return (np.sin(2 * np.pi * 0.25 * times_s)
+            + rng.normal(0, 0.5, (n_rows, len(times_s))) + 1.5)
 
 
 def test_grid_covers_bpm_range():
@@ -195,7 +231,61 @@ def test_batch_rows_equal_single_runs(n_rows, n, drops, seed):
         t = t[keep]
     rows = rng.normal(0, 1, (n_rows, len(t))) + np.sin(2 * np.pi * 0.2 * t)
     batch = kf_estimate_batch(t, rows)
+    warm = kf_estimate_batch(t, rows)  # gains reused when t has no drops
     assert len(batch) == n_rows
-    for z, series in zip(rows, batch):
+    for z, series, again in zip(rows, batch, warm):
         single = kf_estimate(t, z)
         assert_same_series(series, single.f_hat_hz, single.aux)
+        assert_same_series(again, single.f_hat_hz, single.aux)
+
+
+def test_recursion_is_reused_per_drop_free_grid(monkeypatch):
+    grid_a = np.arange(300) / FS
+    grid_b = grid_a + 0.5
+    rows = noisy_rows(5, grid_a)
+    cold = {"a": cold_run(monkeypatch, grid_a, rows),
+            "b": cold_run(monkeypatch, grid_b, rows)}
+    monkeypatch.setattr(kf_module, "_retained", None)
+    runs = count_recursions(monkeypatch)
+    for name, t in (("a", grid_a), ("b", grid_b), ("a", grid_a)):
+        assert_same_outputs(kf_estimate_batch(t, rows), cold[name])
+        assert_same_outputs(kf_estimate_batch(t, rows[::-1]),
+                            cold[name][::-1])
+    assert len(runs) == 3  # one entry: returning to grid A runs it again
+
+
+def test_other_config_on_same_grid_equals_its_cold_run(monkeypatch):
+    t = np.arange(250) / FS
+    rows = noisy_rows(6, t)
+    other = KfConfig(n_bins=40, process_var=0.02, meas_var=0.5)
+    cold = cold_run(monkeypatch, t, rows, other)
+    kf_estimate_batch(t, rows)  # retain the default config's gains
+    assert_same_outputs(kf_estimate_batch(t, rows, other), cold)
+    assert_same_series(kf_estimate(t, rows[0], other),
+                       *kf_reference(t, rows[0], other))
+
+
+def test_grid_with_drops_is_not_retained(monkeypatch):
+    rng = np.random.default_rng(9)
+    t = np.arange(300) / FS
+    gappy = t[rng.random(len(t)) >= 0.1]
+    rows, gappy_rows = noisy_rows(7, t), noisy_rows(8, gappy)
+    monkeypatch.setattr(kf_module, "_retained", None)
+    runs = count_recursions(monkeypatch)
+    kf_estimate_batch(t, rows)
+    first = kf_estimate_batch(gappy, gappy_rows)
+    assert_same_outputs(kf_estimate_batch(gappy, gappy_rows), first)
+    assert len(runs) == 3
+    kf_estimate_batch(t, rows)  # the drop-free grid is still retained
+    assert len(runs) == 3
+
+
+def test_final_cov_writes_do_not_reach_later_calls(monkeypatch):
+    t = np.arange(200) / FS
+    rows = noisy_rows(10, t, n_rows=3)
+    cold = cold_run(monkeypatch, t, rows)
+    first = kf_estimate_batch(t, rows)
+    cov = first[0].aux["final_cov"]
+    assert all(s.aux["final_cov"] is cov for s in first)  # one per call
+    cov[:] = -1.0
+    assert_same_outputs(kf_estimate_batch(t, rows), cold)
