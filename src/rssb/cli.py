@@ -150,6 +150,8 @@ def cmd_estimate(args):
     t, values = trace.for_channel(channel)
     settings = _estimator_settings(args)
     methods = METHODS if args.method == "all" else (args.method,)
+    if args.spectrogram and "dft" not in methods:  # before anything is written
+        raise ValueError("--spectrogram requires the dft method")
     results = estimate(t, values, trace.nominal_rate_hz(), methods, settings,
                        settings["filter"])
 
@@ -164,8 +166,6 @@ def cmd_estimate(args):
     outputs = [args.out]
 
     if args.spectrogram:
-        if "dft" not in results:
-            raise ValueError("--spectrogram requires the dft method")
         series = results["dft"]  # psd holds the search band only
         with open(args.spectrogram, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -224,9 +224,6 @@ def cmd_sweep(args):
     targets = ([float(x) for x in args.targets.split(",")]
                if args.targets is not None else list(range(-18, -2, 2)))
     methods = tuple(args.methods.split(","))
-    unknown = set(methods) - set(METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods: {sorted(unknown)}")
     rows = snr_sweep(scenario, targets, n_seeds=args.seeds, methods=methods,
                      jobs=args.jobs)
     write_sweep_csv(rows, args.out)

@@ -7,7 +7,7 @@ largest in-band PSD bin.  No taper is applied; the window advances by
 a 30 s window with maximum overlap).  The windows are transformed in
 blocks, one ``rfft`` call per block, and only the in-band bins are kept.
 :func:`dft_estimate_batch` takes several streams sampled at the same
-times, and a block then holds windows of every stream;
+times and transforms each stream's windows in their own blocks;
 :func:`dft_estimate` is the batch of one.
 """
 
@@ -19,8 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..dsp import is_uniform
 from .common import EstimateSeries, EstimatorError, check_rows
 
-# Windows per rfft call, counted over all rows of a batch (at least one
-# window a row): a block's padded input and full spectrum stay
+# Windows per rfft call: a block's padded input and full spectrum stay
 # near 1 MB each at the default 2048-point DFT.  Timings on a bed trace
 # were flat from 16 to 512.
 _WINDOWS_PER_FFT = 64
@@ -79,10 +78,10 @@ def dft_estimate(times_s, y, cfg: DftConfig = DftConfig()) -> EstimateSeries:
 def dft_estimate_batch(times_s, rows, cfg: DftConfig = DftConfig()):
     """:func:`dft_estimate` on each stream in ``rows``, sampled at ``times_s``.
 
-    Each block of windows, taken from all rows, goes through one
-    ``rfft`` call.  Each row's series is bit for bit the one
-    :func:`dft_estimate` gives on that row alone; the rows' ``psd``
-    arrays are views into one (rows, windows, bins) array.
+    Each row's windows go through ``rfft`` in blocks of their own, so
+    each row's series is bit for bit the one :func:`dft_estimate` gives
+    on that row alone; the rows' ``psd`` arrays are views into one
+    (rows, windows, bins) array.
     """
     times_s, y = check_rows(times_s, rows)
     if len(times_s) < 2:
@@ -111,22 +110,18 @@ def dft_estimate_batch(times_s, rows, cfg: DftConfig = DftConfig()):
 
     n_rows = len(y)
     starts = np.arange(0, len(times_s) - nw + 1, cfg.hop_samples)
-    windows = sliding_window_view(y, nw, axis=1)[:, ::cfg.hop_samples]
     psd = np.empty((n_rows, len(starts), len(band_freqs)))
     peak = np.empty((n_rows, len(starts)), dtype=np.intp)
     peak_spec = np.empty((n_rows, len(starts)), dtype=complex)
     # Only each window's psd and peak bin outlive the block's spectrum.
-    # rfft takes a contiguous copy of the block's windows faster than the
-    # strided view, whose (rows, windows) loop it runs row by row.
-    step = max(1, _WINDOWS_PER_FFT // n_rows)
-    for j in range(0, len(starts), step):
-        block = slice(j, j + step)
-        spec = np.fft.rfft(np.ascontiguousarray(windows[:, block]),
-                           cfg.n_dft)[..., in_band]
-        psd[:, block] = np.abs(spec) ** 2
-        peak[:, block] = np.argmax(psd[:, block], axis=2)  # lower f wins
-        peak_spec[:, block] = np.take_along_axis(
-            spec, peak[:, block, None], axis=2)[..., 0]
+    for r, row in enumerate(y):
+        windows = sliding_window_view(row, nw)[::cfg.hop_samples]
+        for j in range(0, len(starts), _WINDOWS_PER_FFT):
+            block = slice(j, j + _WINDOWS_PER_FFT)
+            spec = np.fft.rfft(windows[block], cfg.n_dft)[:, in_band]
+            psd[r, block] = np.abs(spec) ** 2
+            peak[r, block] = np.argmax(psd[r, block], axis=1)  # lower f wins
+            peak_spec[r, block] = spec[np.arange(len(spec)), peak[r, block]]
     f_hat = band_freqs[peak]
     amp = 2 * np.abs(peak_spec) / nw
     phase = np.angle(peak_spec)

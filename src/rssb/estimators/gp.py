@@ -114,33 +114,15 @@ def _sigma_weights(cfg: GpConfig):
     return math.sqrt(1 + lam), wm, wc
 
 
-def _recondition(p, count):
-    """Symmetrize ``p``; floor its eigenvalues at 1e-12 of the largest.
+def _recondition(p, counts):
+    """Symmetrize each matrix of the stack ``p``; floor its eigenvalues
+    at 1e-12 of the largest.
 
-    Returns the matrix and ``count``, plus one if the floor fired.
-    ``eigh`` runs only when ``sym - 2e-12 * trace(sym) * I`` has no
-    Cholesky factor: the trace bounds the largest eigenvalue of a PSD
-    matrix, so a factor proves the smallest far above the floor.
-    """
-    sym = (p + p.T) / 2
-    shift = 2e-12 * max(sym.trace(), 1e-30)
-    if dpotrf(sym - shift * np.eye(len(p)))[1] == 0:
-        return sym, count
-    vals, vecs = np.linalg.eigh(p)
-    floor = max(vals.max(), 1e-30) * 1e-12
-    if vals.min() < floor:
-        p = vecs @ np.diag(np.maximum(vals, floor)) @ vecs.T
-        return (p + p.T) / 2, count + 1
-    return sym, count
-
-
-def _recondition_stack(p, counts):
-    """:func:`_recondition` on each matrix of the stack ``p``.
-
-    The shifted Cholesky test runs on each matrix with the shift of
-    :func:`_recondition`; a matrix that fails it goes through
-    :func:`_recondition` itself, which adds to its entry of ``counts``
-    (a list, updated in place).  Returns the symmetrized stack.
+    ``eigh`` runs on a matrix only when ``sym - 2e-12 * trace(sym) * I``
+    has no Cholesky factor: the trace bounds the largest eigenvalue of a
+    PSD matrix, so a factor proves the smallest far above the floor.
+    Each time the floor fires it adds one to the matrix's entry of
+    ``counts`` (a list, updated in place).  Returns the symmetrized stack.
     """
     sym = p + p.mT
     sym /= 2
@@ -150,8 +132,14 @@ def _recondition_stack(p, counts):
     for r, mat in enumerate(shifted):
         # mat is symmetric: its transpose is Fortran-ordered, so dpotrf
         # factors it in place, without a copy
-        if dpotrf(mat.T, overwrite_a=True)[1] != 0:
-            sym[r], counts[r] = _recondition(p[r], counts[r])
+        if dpotrf(mat.T, overwrite_a=True)[1] == 0:
+            continue
+        vals, vecs = np.linalg.eigh(p[r])
+        floor = max(vals.max(), 1e-30) * 1e-12
+        if vals.min() < floor:
+            floored = vecs @ np.diag(np.maximum(vals, floor)) @ vecs.T
+            sym[r] = (floored + floored.T) / 2
+            counts[r] += 1
     return sym
 
 
@@ -263,13 +251,13 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
             p[:, 1:, 0] = p[:, 0, 1:]
             p[:, 1:, 1:] = (lin_dev.mT * wc) @ lin_dev + rot_cov
             p.reshape(n_rows, -1)[:, lin_diag] += lin_noise[k - 1]
-            p = _recondition_stack(p, counts)
+            p = _recondition(p, counts)
 
         ph = np.matvec(p, h_row)
         gain = ph / (np.vecdot(h_row, ph) + cfg.meas_var)[:, None]
         m = m + gain * (z[:, k] - np.vecdot(h_row, m))[:, None]
         p -= gain[:, :, None] * ph[:, None]
-        p = _recondition_stack(p, counts)
+        p = _recondition(p, counts)
         history[:, k] = m
 
     f_hat = np.array([math.exp(s) for s in history[:, :, 0].ravel().tolist()])

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pipeline import estimate_batch
+from .pipeline import check_methods, estimate_batch
 from .rss_model import log_harmonics, reflection_state
 from .simulator import ScenarioConfig, synthesize
 
@@ -272,6 +272,7 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
     targets = [float(snr) for snr in snr_targets_db]
     if not all(map(math.isfinite, targets)):
         raise ValueError(f"SNR targets must be finite, got {targets}")
+    check_methods(methods)
     cells = [(snr, seed) for snr in targets for seed in range(n_seeds)]
     # a multiple of jobs chunks of near-equal size keeps the workers even
     n_chunks = jobs * max(1, -(-len(cells) // (jobs * _MAX_CHUNK_CELLS)))

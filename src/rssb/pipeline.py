@@ -7,7 +7,8 @@ methods see the same preprocessing: the periodogram takes the
 mean-removed stream ``y`` on a uniform grid, the trackers take the
 DC-keeping stream ``z`` on the original, possibly uneven timestamps.
 All three methods take rows: one call runs a method on every stream of
-a batch.
+a batch (kf and gp step the rows together, dft transforms each row's
+windows in their own blocks).
 """
 
 from .dsp import FilterSpec, is_uniform, preprocess, resample_uniform
@@ -24,9 +25,21 @@ ESTIMATORS = {
 
 A batch function maps ``(times_s, rows, cfg)`` to one EstimateSeries
 per row of ``rows``, every row sampled at ``times_s``.  kf and gp step
-all rows together, and dft transforms the windows of all rows in shared
+all rows together, and dft transforms each row's windows in their own
 blocks.
 """
+
+
+def check_methods(methods):
+    """Raise ValueError unless ``methods`` names each method at most once,
+    all of them from :data:`ESTIMATORS`."""
+    names = list(methods)
+    unknown = [m for m in names if m not in ESTIMATORS]
+    if unknown:
+        raise ValueError(f"unknown methods: {unknown}")
+    repeated = sorted({m for m in names if names.count(m) > 1})
+    if repeated:
+        raise ValueError(f"repeated methods: {repeated}")
 
 
 def uniform_samples(times_s, values, sample_rate_hz):
@@ -57,13 +70,11 @@ def estimate_batch(times_s, rows, fs, methods, configs=None,
 
     Each method runs once over all rows: kf runs its covariance
     recursion, which depends only on the timestamps, at most once, gp steps
-    the states of all rows in lockstep, and dft runs one ``rfft`` per
-    block of windows from all rows.  Returns one dict per row, each
-    equal to what :func:`estimate` gives on that row alone.
+    the states of all rows in lockstep, and dft transforms each row's
+    windows in their own blocks.  Returns one dict per row, each equal
+    to what :func:`estimate` gives on that row alone.
     """
-    unknown = [m for m in methods if m not in ESTIMATORS]
-    if unknown:
-        raise ValueError(f"unknown methods: {unknown}")
+    check_methods(methods)
     configs = configs or {}
     y, z = zip(*(preprocess(values, filter_spec, fs) for values in rows))
     inputs = {"kf": (times_s, z), "gp": (times_s, z)}

@@ -155,11 +155,11 @@ def log_series_coefficients(reflection, n_terms=DEFAULT_SERIES_ORDER):
 class HarmonicModel:
     """Truncated harmonic expansion of the breathing-modulated signal.
 
-    Odd multiples of the fundamental appear as sine terms and even
-    multiples as cosine terms:
+    ``coeffs`` holds c_1..c_M.  Odd multiples of the fundamental appear
+    as sine terms and even multiples as cosine terms:
 
-        x(t) = dc + sum_{m odd} sin_coeffs[(m-1)//2] * sin(2*pi*m*f*t)
-                  + sum_{m even} cos_coeffs[m//2 - 1] * cos(2*pi*m*f*t)
+        x(t) = dc + sum_{m odd} c_m * sin(2*pi*m*f*t)
+                  + sum_{m even} c_m * cos(2*pi*m*f*t)
 
     ``scale`` records whether the coefficients describe the linear
     ratio or its dB form.
@@ -168,30 +168,27 @@ class HarmonicModel:
     scale: str
     fundamental_hz: float
     dc: float
-    sin_coeffs: tuple
-    cos_coeffs: tuple
-    truncation_m: int
+    coeffs: tuple
+
+    @property
+    def truncation_m(self) -> int:
+        """Number of harmonics M kept."""
+        return len(self.coeffs)
 
     def coefficient(self, m: int) -> float:
         """Coefficient of harmonic ``m`` (1-based)."""
         if not 1 <= m <= self.truncation_m:
             raise ValueError(f"harmonic index {m} outside 1..{self.truncation_m}")
-        return self.sin_coeffs[(m - 1) // 2] if m % 2 else self.cos_coeffs[m // 2 - 1]
+        return self.coeffs[m - 1]
 
     def evaluate(self, t):
         """Reconstruct the truncated time series at time(s) ``t``."""
         t = np.asarray(t, dtype=float)
         base = 2 * np.pi * self.fundamental_hz * t
         out = np.full(t.shape, self.dc)
-        for m in range(1, self.truncation_m + 1):
-            c = self.coefficient(m)
+        for m, c in enumerate(self.coeffs, 1):
             out += c * (np.sin(m * base) if m % 2 else np.cos(m * base))
         return out
-
-
-def _split_parity(coeffs):
-    """Split [c_1..c_M] into (odd-index, even-index) coefficient tuples."""
-    return tuple(coeffs[0::2]), tuple(coeffs[1::2])
 
 
 def linear_harmonics(state: ReflectionState, truncation_m=2) -> HarmonicModel:
@@ -217,9 +214,8 @@ def linear_harmonics(state: ReflectionState, truncation_m=2) -> HarmonicModel:
     coeffs = np.where(m % 2 == 1, 4 * g * jm * np.sin(psi),
                       -4 * g * jm * np.cos(psi))
     dc = 1 + g * g - 2 * g * special.jv(0, a) * np.cos(psi)
-    odd, even = _split_parity(coeffs)
     return HarmonicModel("linear", state.breath_freq_hz, float(dc),
-                         odd, even, truncation_m)
+                         tuple(coeffs))
 
 
 def log_harmonics(state: ReflectionState, truncation_m=2,
@@ -255,9 +251,8 @@ def log_harmonics(state: ReflectionState, truncation_m=2,
             coeffs[m - 1] = 4 * DB_PER_LN * np.sum(jm * weight * np.sin(i * psi))
         else:
             coeffs[m - 1] = -4 * DB_PER_LN * np.sum(jm * weight * np.cos(i * psi))
-    odd, even = _split_parity(coeffs)
     return HarmonicModel("log", state.breath_freq_hz, float(dc),
-                         odd, even, truncation_m)
+                         tuple(coeffs))
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,7 @@ def test_spectrogram_needs_dft(tmp_path, capsys):
               "--spectrogram", str(tmp_path / "spec.csv")])
     assert rc == 2
     assert "dft" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
 
 
 def test_shipped_example_config(tmp_path):
@@ -184,9 +185,11 @@ def test_sweep_rejects_unknown_method(tmp_path, capsys):
      "finite"),
     (["sweep", "--preset", "bed", "--targets", "", "--seeds", "1"],
      "could not convert"),
+    (["sweep", "--preset", "bed", "--targets", "0", "--seeds", "1",
+      "--methods", "dft,dft"], "repeated methods: ['dft']"),
 ], ids=["seeds0", "seeds-1", "jobs0", "jobs-3", "figures-seeds0",
         "figures-all-seeds0", "figures-all-jobs0", "targets-nan",
-        "targets-inf", "targets-empty"])
+        "targets-inf", "targets-empty", "methods-repeated"])
 def test_sweep_rejects_bad_sizes(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     rc = run([*argv, "--out", str(out)])

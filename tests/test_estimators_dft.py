@@ -154,8 +154,7 @@ def test_matches_per_window_reference(hop):
     rng = np.random.default_rng(hop)
     t = np.arange(n) / FS
     y = np.sin(2 * np.pi * 0.27 * t) + rng.normal(0, 1.0, n)
-    # alone, and as the first of three rows, whose blocks hold a third
-    # as many windows each
+    # alone, and as the first of three rows of a batch
     rows = [y, rng.normal(0, 1.0, n), np.cos(2 * np.pi * 0.6 * t)]
     for z, series in [(y, dft_estimate(t, y, cfg)),
                       *zip(rows, dft_estimate_batch(t, rows, cfg))]:
@@ -174,8 +173,8 @@ def test_matches_per_window_reference(hop):
        seed=st.integers(0, 2**32 - 1))
 @example(n_rows=3, hop=1, n_windows=_WINDOWS_PER_FFT // 3 + 1, seed=0)
 def test_batch_rows_equal_single_runs(n_rows, hop, n_windows, seed):
-    # up to 4 rows: blocks of 16-64 windows a row, so the window counts
-    # drawn cross a block boundary of the batch, of a single run or both
+    # up to 4 rows, each transformed in blocks of 64 windows, so the
+    # window counts drawn fall on either side of a block boundary
     cfg = DftConfig(hop_samples=hop)
     n = cfg.window_samples(FS) + (n_windows - 1) * hop
     rng = np.random.default_rng(seed)

@@ -11,8 +11,7 @@ from rssb.estimators import (EstimatorError, GpConfig, gp_estimate,
                              gp_estimate_batch, kernel_cosine_truncation,
                              kernel_cosine_weights, kf_estimate,
                              periodic_kernel)
-from rssb.estimators.gp import (_recondition, _recondition_stack,
-                                _sigma_weights)
+from rssb.estimators.gp import _recondition, _sigma_weights
 
 FS = 31.25
 AUX_KEYS = ("recon", "dc", "harmonic_cos", "final_state", "final_cov",
@@ -278,10 +277,11 @@ def test_recondition_matches_eigh_rule(dim, seed, log_scale, log_min,
     scale = 10.0 ** log_scale
     p = (q * (vals * scale)) @ q.T
     p += rng.normal(0, 1e-17 * scale, (dim, dim))
-    got, count = _recondition(p, 5)
+    counts = [5]
+    got = _recondition(p[None], counts)
     want, fired = eigh_recondition(p)
-    assert count == 5 + fired
-    assert np.array_equal(got, want)
+    assert counts == [5 + fired]
+    assert np.array_equal(got[0], want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -326,12 +326,12 @@ matrix_draws = st.tuples(st.integers(0, 2**32 - 1), st.floats(-45.0, 3.0),
 def test_stacked_gate_matches_recondition(dim, draws):
     # rows on either side of the floor in one stack (in the example: one
     # passes the Cholesky test, one fails it and is floored, one fails
-    # it and is not): each must come out as _recondition gives it alone,
-    # with its own count
+    # it and is not): each must come out as the eigh rule gives it
+    # alone, with its own count
     stack = np.array([near_floor_covariance(dim, *draw) for draw in draws])
     counts = [10 * r for r in range(len(draws))]
-    got = _recondition_stack(stack, counts)
+    got = _recondition(stack, counts)
     for r, p in enumerate(stack):
-        want, count = _recondition(p, 10 * r)
-        assert counts[r] == count
+        want, fired = eigh_recondition(p)
+        assert counts[r] == 10 * r + fired
         assert np.array_equal(got[r], want)

@@ -12,7 +12,7 @@ from rssb.evaluation import (MetricsReport, compute_metrics,
                              hit_ratio_pct, inband_signal_power,
                              modeling_mae_db, noise_std_for_snr,
                              outlier_filtered_mae, snr_estimate, snr_sweep)
-from rssb.pipeline import estimate
+from rssb.pipeline import estimate, estimate_batch
 from rssb.presets import bed_scenario
 from rssb.simulator import synthesize
 
@@ -178,6 +178,25 @@ def per_cell_sweep(template, snr_targets_db, n_seeds, methods, settle_s):
         rows += [{"snr_db": snr, "method": m,
                   "hit_ratio_pct": float(np.mean(hits[m]))} for m in methods]
     return rows
+
+
+@pytest.mark.parametrize("methods, message", [
+    (("kf", "kf"), r"repeated methods: \['kf'\]"),
+    (("dft", "gp", "dft", "gp"), r"repeated methods: \['dft', 'gp'\]"),
+    (("dft", "f162"), r"unknown methods: \['f162'\]"),
+], ids=["repeated", "repeated-two", "unknown"])
+def test_method_names_are_checked(monkeypatch, methods, message):
+    t = np.arange(64) / 31.25
+    with pytest.raises(ValueError, match=message):
+        estimate_batch(t, [np.zeros(64)], 31.25, methods)
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("a cell was synthesized")
+
+    # the sweep rejects the names before it synthesizes any cell
+    monkeypatch.setattr("rssb.evaluation.synthesize", no_synthesis)
+    with pytest.raises(ValueError, match=message):
+        snr_sweep(bed_scenario(), [0.0], n_seeds=1, methods=methods)
 
 
 @pytest.mark.parametrize("drop_prob", [0.0, 0.1])
