@@ -188,8 +188,7 @@ def _gain_recursion(times_s, cfg):
             # p = (d + d.T) / 2 with d = p - outer(gain, pg), in place;
             # the transposed copy is faster than adding p.T, and * 0.5
             # is exact
-            np.copyto(buf, gain[:, None])
-            buf *= pg
+            np.einsum("i,j->ij", gain, pg, out=buf)
             p -= buf
             np.copyto(buf, p.T)
             buf += p

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pipeline import check_methods, estimate_batch
+from .pipeline import _estimate_methods, check_methods
 from .rss_model import log_harmonics, reflection_state
 from .simulator import ScenarioConfig, synthesize
 
@@ -217,11 +217,13 @@ def noise_std_for_snr(scenario: ScenarioConfig, snr_db,
     return math.sqrt(p_sig * 10 ** (-snr_db / 10))
 
 
-# Cells per unit of sweep work.  A worker holds the estimate series of
-# every cell of a unit until it has scored them, so this bounds its
-# memory (96 bed cells of dft and kf peak at 302 MB in one unit, 176 MB
-# in units of 32).  kf runs its covariance recursion once per drop-free
-# time grid in each worker process and reuses it across units.
+# Cells per unit of sweep work.  A worker holds one method's estimate
+# series of every cell of a unit until it has scored them, so this bounds
+# its memory: a unit of 32 bed cells peaks at 65.6 MB under tracemalloc,
+# most of it dft's spectrograms (84.7 MB if the series of all three
+# methods are held until scored).  kf runs its covariance recursion
+# once per drop-free time grid in each worker process and reuses it
+# across units.
 _MAX_CHUNK_CELLS = 32
 
 
@@ -241,13 +243,14 @@ def _sweep_chunk(args):
         index.append(i)
         rows.append(values)
     true_hz = template.motion.breath_freq_hz
-    hits = [None] * len(cells)
+    hits = [{} for _ in cells]
     for t, index, rows in batches.values():
-        runs = estimate_batch(t, rows, template.sample_rate_hz, methods)
-        for i, run in zip(index, runs):
-            hits[i] = {method: hit_ratio_pct(series.after(settle_s)[1],
-                                             true_hz, tol_bpm)
-                       for method, series in run.items()}
+        for method, series in _estimate_methods(
+                t, rows, template.sample_rate_hz, methods):
+            for i, one in zip(index, series):
+                hits[i][method] = hit_ratio_pct(one.after(settle_s)[1],
+                                                true_hz, tol_bpm)
+            del series, one  # free this method's series before the next runs
     return hits
 
 

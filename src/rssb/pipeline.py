@@ -2,8 +2,9 @@
 
 Every entry point (the CLI, the SNR sweep, the acceptance scorecard)
 runs the estimators through :func:`estimate`, or through its batch form
-:func:`estimate_batch` for streams that share timestamps, so all three
-methods see the same preprocessing: the periodogram takes the
+:func:`estimate_batch` for streams that share timestamps (the sweep
+through the generator behind it, to score one method at a time), so all
+three methods see the same preprocessing: the periodogram takes the
 mean-removed stream ``y`` on a uniform grid, the trackers take the
 DC-keeping stream ``z`` on the original, possibly uneven timestamps.
 All three methods take rows: one call runs a method on every stream of
@@ -74,6 +75,20 @@ def estimate_batch(times_s, rows, fs, methods, configs=None,
     windows in their own blocks.  Returns one dict per row, each equal
     to what :func:`estimate` gives on that row alone.
     """
+    results = [{} for _ in rows]
+    for method, series in _estimate_methods(times_s, rows, fs, methods,
+                                            configs, filter_spec):
+        for result, one in zip(results, series):
+            result[method] = one
+    return results
+
+
+def _estimate_methods(times_s, rows, fs, methods, configs=None,
+                      filter_spec=FilterSpec()):
+    """Yield ``(method, one EstimateSeries per row)`` for each method in
+    turn, each row preprocessed once; :func:`estimate_batch` collects
+    them, and a caller that scores each method as it comes need not hold
+    the series of all methods at once."""
     check_methods(methods)
     configs = configs or {}
     y, z = zip(*(preprocess(values, filter_spec, fs) for values in rows))
@@ -85,10 +100,7 @@ def estimate_batch(times_s, rows, fs, methods, configs=None,
             grids = [resample_uniform(times_s, v, fs) for v in rows]
             y_grid = [preprocess(v, filter_spec, fs)[0] for _, v in grids]
             inputs["dft"] = (grids[0][0], y_grid)
-    results = [{} for _ in rows]
     for method in methods:
         fn, config_cls = ESTIMATORS[method]
         cfg = configs.get(method) or config_cls()
-        for result, series in zip(results, fn(*inputs[method], cfg)):
-            result[method] = series
-    return results
+        yield method, fn(*inputs[method], cfg)

@@ -17,15 +17,23 @@ the expansions can be validated against an exact waveform.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
 from .config import from_dict, to_dict
 from .geometry import (C_LIGHT, LinkGeometry, MediumParams, ReflectorMotion,
                        effective_reflection, excess_path, fresnel_coefficient,
-                       gradient_projection, incidence_cosine)
+                       incidence_cosine)
 from .rss_model import ratio_db_exact, reflection_state
+
+
+# Lines of a saved trace joined into one write.
+_LINES_PER_WRITE = 4096
+
+# Every byte ``repr`` of a finite float and ``int`` write in a trace CSV.
+_NUMBER_TEXT = b"0123456789+-.e,\n"
 
 
 class ScenarioError(ValueError):
@@ -124,15 +132,26 @@ class RssTrace:
 
         ``repr`` of a Python float is the shortest string that parses
         back to the same double, so a saved trace keeps its exact time
-        base (and with it ``is_uniform``) and its exact values.
+        base (and with it ``is_uniform``) and its exact values.  Channels
+        sampled together share a timestamp, whose text is made once.
         """
         order = np.lexsort((self.channel_ids, self.times_s))
-        rows = zip(self.times_s[order].tolist(),
+        times = self.times_s[order]
+        # runs of one timestamp, told apart by bits so -0.0 keeps its sign
+        bits = times.view(np.int64)
+        first = np.ones(len(times), dtype=bool)
+        first[1:] = bits[1:] != bits[:-1]
+        starts = np.flatnonzero(first)
+        stamps = [f"{t!r}," for t in times[starts].tolist()]
+        counts = np.diff(starts, append=len(times)).tolist()
+        rows = zip(chain.from_iterable(map(repeat, stamps, counts)),
                    self.channel_ids[order].astype(int).tolist(),
                    self.values_db[order].tolist())
         with open(path, "w") as fh:
             fh.write("time_s,channel_id,rss_db\n")
-            fh.writelines(f"{t!r},{c},{v!r}\n" for t, c, v in rows)
+            while block := [f"{t}{c},{v!r}\n"
+                            for t, c, v in islice(rows, _LINES_PER_WRITE)]:
+                fh.write("".join(block))
 
     @classmethod
     def load_csv(cls, path, scale="relative"):
@@ -149,13 +168,21 @@ def read_csv_columns(path, header, empty_message, types):
     Blank lines are skipped; every other line must hold one field per
     type, and a float field must be finite.  A wrong header, a
     malformed row (reported by line number) and a file without rows
-    raise ValueError.
+    raise ValueError.  Numeric columns of a seekable file are read by
+    numpy's text reader; a file it cannot read is read again line by
+    line, which accepts what ``float`` and ``int`` accept and names the
+    first bad row.
     """
     columns = [[] for _ in types]
     with open(path) as fh:
         found = fh.readline().strip()
         if found != header:
             raise ValueError(f"{path}: unexpected header {found!r}")
+        if fh.seekable() and str not in types:
+            start = fh.tell()
+            if numbers := _load_plain_numbers(fh, types):
+                return numbers
+            fh.seek(start)
         lineno = 2
         # Lines are parsed a block at a time, which is faster than a loop
         # per row.  A block that fails is parsed again, by the same
@@ -178,6 +205,37 @@ def read_csv_columns(path, header, empty_message, types):
     return columns
 
 
+def _load_plain_numbers(fh, types):
+    """The columns of the rest of ``fh`` as ``np.loadtxt`` reads them.
+
+    None when the text holds no row or a character that ``repr`` of a
+    finite float and ``int`` never write, when the reader fails, or when
+    a float is not finite.  numpy's reader rejects some fields that
+    ``float`` and ``int`` accept, such as ``1_0``, but it also strips
+    padding they reject (the ASCII separators 0x1c-0x1f), so it is given
+    plain number text only.
+    """
+    start = fh.tell()
+    any_row = False
+    for chunk in iter(lambda: fh.read(1 << 16), ""):
+        if chunk.encode().translate(None, _NUMBER_TEXT):
+            return None
+        any_row = any_row or not chunk.isspace()
+    if not any_row:
+        return None
+    fh.seek(start)
+    dtype = [(f"f{i}", t) for i, t in enumerate(types)]
+    try:
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                           dtype=dtype)
+    except ValueError:
+        return None
+    columns = [np.ascontiguousarray(table[name]) for name, _ in dtype]
+    finite = all(np.isfinite(column).all()
+                 for column, t in zip(columns, types) if t is float)
+    return columns if finite else None
+
+
 def _parse_rows(lines, types):
     """Columns of the non-blank ``lines``, each line holding one field per
     type and each field converted by its type, floats finite; ValueError
@@ -194,24 +252,27 @@ def _parse_rows(lines, types):
     return columns
 
 
-def _trajectory_db(scenario: ScenarioConfig, wavelength_m, t):
-    """Noise-free dB-scale reflection signal along the trajectory."""
+def _reflection_path(scenario: ScenarioConfig, t):
+    """Effective reflection and excess path along the trajectory.
+
+    Neither depends on the wavelength (the Fresnel coefficient reads the
+    permittivity only), so all channels share them.
+    """
     link, motion = scenario.link, scenario.motion
-    medium = replace(scenario.medium, wavelength_m=wavelength_m)
     if scenario.model == "frozen":
-        state = reflection_state(link, motion, medium)
+        state = reflection_state(link, motion, scenario.medium)
         delta = (state.excess_path_m
                  + state.speed_gain_mps * t
                  + state.direction_gain * motion.amplitude_m
                  * np.sin(2 * np.pi * motion.breath_freq_hz * t))
-        return ratio_db_exact(state.reflection, delta, wavelength_m)
+        return state.reflection, delta
     pos = motion.position(t)
     delta = excess_path(link, pos)
     p_inner, _ = incidence_cosine(link, pos)
-    gamma = fresnel_coefficient(p_inner, medium)
+    gamma = fresnel_coefficient(p_inner, scenario.medium)
     g = effective_reflection(gamma, delta, link.node_distance,
-                             medium.path_gain_exponent)
-    return ratio_db_exact(g, delta, wavelength_m)
+                             scenario.medium.path_gain_exponent)
+    return g, delta
 
 
 def synthesize(scenario: ScenarioConfig, seed=None) -> RssTrace:
@@ -228,11 +289,12 @@ def synthesize(scenario: ScenarioConfig, seed=None) -> RssTrace:
     t = np.arange(n) / fs
     wavelengths = scenario.channel_wavelengths_m()
     streams = np.random.SeedSequence(seed).spawn(len(wavelengths))
+    reflection, delta = _reflection_path(scenario, t)
 
     all_t, all_c, all_v = [], [], []
     for cid, (lam, ss) in enumerate(zip(wavelengths, streams)):
         rng = np.random.default_rng(ss)
-        v = _trajectory_db(scenario, lam, t)
+        v = ratio_db_exact(reflection, delta, lam)
         if scenario.noise_std_db > 0:
             v = v + rng.normal(0.0, scenario.noise_std_db, n)
         if scenario.quantization_db > 0:

@@ -1,5 +1,7 @@
 """Simulator behavior: determinism, degradations, and serialization."""
 
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rssb.dsp import is_uniform, resample_uniform
-from rssb.geometry import C_LIGHT, DegenerateGeometryError, LinkGeometry
+from rssb.geometry import (C_LIGHT, DegenerateGeometryError, LinkGeometry,
+                           effective_reflection, excess_path,
+                           fresnel_coefficient, incidence_cosine)
 from rssb.pipeline import estimate
-from rssb.presets import bed_scenario, midline_scenario
+from rssb.presets import bed_scenario, example_scenario_path, midline_scenario
 from rssb.rss_model import log_harmonics, ratio_db_exact, reflection_state
 from rssb.simulator import (RssTrace, ScenarioConfig, ScenarioError,
                             default_channels_hz,
@@ -48,6 +52,67 @@ def test_channel_streams_are_independent_of_channel_count():
     t1, v1 = synthesize(s1).for_channel(0)
     assert np.array_equal(t16, t1)
     assert np.array_equal(v16, v1)
+
+
+def per_channel_synthesis(scenario, seed):
+    """(times, channel ids, values) as ``synthesize`` built them when it
+    evaluated the whole trajectory once per channel."""
+    link, motion = scenario.link, scenario.motion
+
+    def trajectory_db(wavelength_m, t):
+        medium = replace(scenario.medium, wavelength_m=wavelength_m)
+        if scenario.model == "frozen":
+            state = reflection_state(link, motion, medium)
+            delta = (state.excess_path_m
+                     + state.speed_gain_mps * t
+                     + state.direction_gain * motion.amplitude_m
+                     * np.sin(2 * np.pi * motion.breath_freq_hz * t))
+            return ratio_db_exact(state.reflection, delta, wavelength_m)
+        pos = motion.position(t)
+        delta = excess_path(link, pos)
+        p_inner, _ = incidence_cosine(link, pos)
+        gamma = fresnel_coefficient(p_inner, medium)
+        g = effective_reflection(gamma, delta, link.node_distance,
+                                 medium.path_gain_exponent)
+        return ratio_db_exact(g, delta, wavelength_m)
+
+    fs = scenario.sample_rate_hz
+    n = int(round(scenario.duration_s * fs))
+    t = np.arange(n) / fs
+    wavelengths = scenario.channel_wavelengths_m()
+    streams = np.random.SeedSequence(seed).spawn(len(wavelengths))
+    all_t, all_c, all_v = [], [], []
+    for cid, (lam, ss) in enumerate(zip(wavelengths, streams)):
+        rng = np.random.default_rng(ss)
+        v = trajectory_db(lam, t)
+        if scenario.noise_std_db > 0:
+            v = v + rng.normal(0.0, scenario.noise_std_db, n)
+        if scenario.quantization_db > 0:
+            q = scenario.quantization_db
+            v = np.round(v / q) * q
+        keep = np.ones(n, dtype=bool)
+        if scenario.drop_prob > 0:
+            keep = rng.random(n) >= scenario.drop_prob
+        all_t.append(t[keep])
+        all_c.append(np.full(keep.sum(), cid, dtype=int))
+        all_v.append(v[keep])
+    return (np.concatenate(all_t), np.concatenate(all_c),
+            np.concatenate(all_v))
+
+
+@pytest.mark.parametrize("model", ["exact", "frozen"])
+def test_every_channel_matches_per_channel_synthesis(model):
+    scenario = replace(load_scenario(example_scenario_path()),
+                       drop_prob=0.1, model=model)
+    assert len(scenario.channels_hz) == 16
+    for seed in (0, 7):
+        trace = synthesize(scenario, seed=seed)
+        times, ids, values = per_channel_synthesis(scenario, seed)
+        assert trace.channels() == list(range(16))
+        assert np.array_equal(trace.times_s, times)
+        assert np.array_equal(trace.channel_ids, ids)
+        # bit for bit, -0.0 included
+        assert trace.values_db.tobytes() == values.tobytes()
 
 
 def test_channel_wavelengths():
@@ -190,6 +255,113 @@ def test_csv_round_trip_is_exact(tmp_path_factory, rate_hz, drop_prob, seed):
     assert loaded.nominal_rate_hz() == rate_hz
     grid, _ = resample_uniform(t1, v1, rate_hz)
     assert len(grid) == round((t1[-1] - t1[0]) * rate_hz) + 1
+
+
+def write_csv_per_line(trace, path):
+    """The trace CSV writer that formatted every field of every row."""
+    order = np.lexsort((trace.channel_ids, trace.times_s))
+    rows = zip(trace.times_s[order].tolist(),
+               trace.channel_ids[order].astype(int).tolist(),
+               trace.values_db[order].tolist())
+    with open(path, "w") as fh:
+        fh.write("time_s,channel_id,rss_db\n")
+        fh.writelines(f"{t!r},{c},{v!r}\n" for t, c, v in rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_channels=st.integers(1, 16),
+       rate_hz=st.sampled_from([10.0, 25.0, 30.0, 31.25, 50.0]),
+       drop_prob=st.floats(0.0, 0.3),
+       quantization_db=st.sampled_from([0.0, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_csv_codec_matches_per_line_writer(tmp_path_factory, n_channels,
+                                           rate_hz, drop_prob,
+                                           quantization_db, seed):
+    trace = synthesize(bed_scenario(
+        duration_s=10.0, sample_rate_hz=rate_hz, drop_prob=drop_prob,
+        quantization_db=quantization_db, seed=seed,
+        channels_hz=default_channels_hz()[:n_channels]))
+    folder = tmp_path_factory.mktemp("csv")
+    trace.save_csv(folder / "trace.csv")
+    write_csv_per_line(trace, folder / "want.csv")
+    assert ((folder / "trace.csv").read_bytes()
+            == (folder / "want.csv").read_bytes())
+    loaded = RssTrace.load_csv(folder / "trace.csv")
+    order = np.lexsort((trace.channel_ids, trace.times_s))
+    assert np.array_equal(loaded.times_s, trace.times_s[order])
+    assert np.array_equal(loaded.channel_ids, trace.channel_ids[order])
+    assert loaded.values_db.tobytes() == trace.values_db[order].tobytes()
+    assert loaded.channel_ids.dtype == np.dtype(int)
+
+
+@pytest.mark.parametrize("times, ids, values", [
+    ([-0.0, 0.0, -0.0, 0.5], [0, 1, 2, 0], [-0.0, 0.0, 1.0, -2.5]),
+    ([], [], []),
+], ids=["signed-zero-times", "empty"])
+def test_csv_writer_matches_per_line_writer(tmp_path, times, ids, values):
+    trace = RssTrace(np.array(times, dtype=float), np.array(ids, dtype=int),
+                     np.array(values, dtype=float))
+    trace.save_csv(tmp_path / "trace.csv")
+    write_csv_per_line(trace, tmp_path / "want.csv")
+    assert ((tmp_path / "trace.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+
+
+# Each malformed row, written between good rows, as row 5 of the file.
+MALFORMED_ROWS = [
+    ("oops,0", "expected 3 fields"),
+    ("0.0,1.0,1.5", "invalid literal for int() with base 10: '1.0'"),
+    ("0.0,1e0,1.5", "invalid literal for int() with base 10: '1e0'"),
+    ("0.0,,1.5", "invalid literal for int() with base 10: ''"),
+    ("0.0,1,1.5,", "expected 3 fields"),
+    ("nan,0,1.5", "values must be finite"),
+    ("0.0,0,-Infinity", "values must be finite"),
+    ("0.0,0,1e999", "values must be finite"),
+    # numpy's reader strips the ASCII separators; int() does not
+    ("0.0,0\x1f,1.5", "invalid literal for int() with base 10: '0\\x1f'"),
+    ("0.0,0,\x1c1.5", "could not convert string to float: '\\x1c1.5'"),
+]
+
+
+@pytest.mark.parametrize("bad, message", MALFORMED_ROWS)
+def test_csv_load_names_each_malformed_row(tmp_path, bad, message):
+    good = "".join(f"{k / 31.25!r},0,1.5\n" for k in range(3))
+    path = tmp_path / "bad.csv"
+    path.write_text("time_s,channel_id,rss_db\n" + good + bad + "\n" + good)
+    with pytest.raises(ValueError) as info:
+        RssTrace.load_csv(path)
+    assert str(info.value) == f"{path}: malformed row 5: {message}"
+
+
+def test_csv_load_accepts_what_float_and_int_accept(tmp_path):
+    path = tmp_path / "odd.csv"
+    path.write_text("time_s,channel_id,rss_db\n0.0,0,1.5\n"
+                    "1_0.5,1_0,-2_5\n\n 0.25 , +3 ,\t7\n")
+    trace = RssTrace.load_csv(path)
+    assert trace.times_s.tolist() == [0.0, 10.5, 0.25]
+    assert trace.channel_ids.tolist() == [0, 10, 3]
+    assert trace.values_db.tolist() == [1.5, -25.0, 7.0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_csv_load_reads_a_pipe(tmp_path):
+    trace = synthesize(bed_scenario(duration_s=4.0, drop_prob=0.1,
+                                    channels_hz=default_channels_hz()[:3]))
+    trace.save_csv(tmp_path / "trace.csv")
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(
+        (tmp_path / "trace.csv").read_bytes()), daemon=True)
+    writer.start()
+    try:
+        loaded = RssTrace.load_csv(pipe)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    want = RssTrace.load_csv(tmp_path / "trace.csv")
+    assert np.array_equal(loaded.times_s, want.times_s)
+    assert np.array_equal(loaded.channel_ids, want.channel_ids)
+    assert np.array_equal(loaded.values_db, want.values_db)
 
 
 @pytest.mark.parametrize("drop_prob", [0.0, 0.1])
