@@ -11,8 +11,8 @@ Typical round trip::
 
 Every command writes a manifest next to its primary output
 (``<out>.manifest.json``) recording the argv, the fully resolved
-configuration, the seed and the produced files, so any artifact can be
-regenerated from the manifest alone.
+configuration, the seed, the numpy and scipy versions and the produced
+files, so any artifact can be regenerated from the manifest alone.
 
 Exit codes: 0 on success, 2 when inputs fail validation (bad flags,
 malformed config or CSV, unknown preset), 1 on unexpected runtime
@@ -27,6 +27,7 @@ import sys
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import from_dict, to_dict
@@ -110,6 +111,8 @@ def _write_manifest(primary_out, command, config, seed, outputs):
         "command": command,
         "argv": sys.argv[1:],
         "version": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "seed": seed,
         "config": config,

@@ -8,25 +8,30 @@ rate estimate is the grid frequency whose coefficient pair currently
 has the largest amplitude.
 
 The covariance and gain recursion depends only on the timestamps and
-the config, never on ``z``.  :func:`kf_estimate_batch` therefore runs it
-once for any number of streams sampled at the same times and steps all
-their states together; :func:`kf_estimate` is the batch of one.  The
-gains of the last drop-free grid are also kept, so later calls on the
-same grid and config reuse them.  The reuse is per process: each worker
-of a parallel sweep fills its own.
+the config, never on ``z``.  It keeps the covariance as one lower
+triangle and applies each measurement update with the symmetric BLAS
+kernels ``dsymv`` and ``dsyr``, so kf matches the full-matrix loop it
+replaced within rounding (a tolerance the tests pin), not bit for bit.
+:func:`kf_estimate_batch` runs the recursion once for any number of
+streams sampled at the same times and steps all their states together,
+gains and states in one pass over blocks of steps; :func:`kf_estimate`
+is the batch of one.  The gains of the last drop-free grid are also
+kept, so later calls on the same grid and config reuse them.  The reuse
+is per process: each worker of a parallel sweep fills its own.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsymv, dsyr
 
 from ..dsp import is_uniform
 from .common import EstimateSeries, EstimatorError, check_rows
 
-# Steps handled a block at a time: observation rows are built and the
-# state history is scored (hypot, argmax, recon) per block.  Large enough
-# that numpy's per-call cost vanishes, small enough that 32 rows of
-# history stay near 5 MB.
+# Steps handled a block at a time: observation rows are built, gains
+# computed and the state history scored (hypot, argmax, recon) per
+# block.  Large enough that numpy's per-call cost vanishes, small enough
+# that 32 rows of history stay near 5 MB.
 _BLOCK_STEPS = 128
 
 # The gains and final covariance of the last drop-free grid, keyed on
@@ -95,7 +100,6 @@ def kf_estimate_batch(times_s, rows, cfg: KfConfig = KfConfig()):
     nb = cfg.n_bins
     dim = 2 * nb + 1
     n_rows, n = z.shape
-    gains, final_cov = _gains(times_s, cfg)
 
     x = np.zeros((n_rows, dim))
     x[:, 0] = z[:, 0]
@@ -104,14 +108,15 @@ def kf_estimate_batch(times_s, rows, cfg: KfConfig = KfConfig()):
     peak_amp = np.empty((n_rows, n))
     dc = np.empty((n_rows, n))
     history = np.empty((n_rows, min(n, _BLOCK_STEPS), dim))
+    final_cov = np.empty((dim, dim))
 
     # x @ g would be one gemv over all rows, which sums in another order
     # than the dot product a single row gets; vecdot keeps one dot per row.
-    for start in range(0, n, _BLOCK_STEPS):
-        block = slice(start, min(start + _BLOCK_STEPS, n))
-        g_block = _observation_rows(times_s[block], grid)
-        for k, g in enumerate(g_block, start):
-            x += (z[:, k] - np.vecdot(x, g))[:, None] * gains[k]
+    start = 0
+    for g_block, gains in _gain_blocks(times_s, cfg, final_cov):
+        block = slice(start, start + len(g_block))
+        for k, (g, gain) in enumerate(zip(g_block, gains), start):
+            x += (z[:, k] - np.vecdot(x, g))[:, None] * gain
             history[:, k - start] = x
         states = history[:, :len(g_block)]
         amps = np.hypot(states[..., 1:nb + 1], states[..., nb + 1:])
@@ -120,8 +125,8 @@ def kf_estimate_batch(times_s, rows, cfg: KfConfig = KfConfig()):
         peak_amp[:, block] = amps.max(axis=2)
         recon[:, block] = np.vecdot(states, g_block)
         dc[:, block] = states[..., 0]
+        start = block.stop
 
-    final_cov = final_cov.copy()
     return [EstimateSeries(
         method="kf", times_s=times_s.copy(), f_hat_hz=f_hat[r],
         aux={"recon": recon[r], "peak_amp": peak_amp[r],
@@ -148,49 +153,68 @@ def _observation_rows(times_s, grid):
     return g
 
 
-def _gains(times_s, cfg):
-    """Read-only ``(gains, final_cov)`` of :func:`_gain_recursion`, reused
-    when the last drop-free grid and config are asked for again."""
+def _gain_blocks(times_s, cfg, final_cov):
+    """Yield ``(observation rows, gains)`` per block of steps, then fill
+    ``final_cov`` with the covariance after the last update.
+
+    The gains of the last drop-free grid and config are read from the
+    retained table; otherwise :func:`_gain_recursion` computes them, and
+    a drop-free grid copies them into a new table to retain.
+    """
     global _retained
     key = (times_s.tobytes(), cfg)
     retained = _retained  # one read: another thread may replace it
     if retained is not None and retained[0] == key:
-        return retained[1]
-    result = _gain_recursion(times_s, cfg)
-    for array in result:
+        gains, cov = retained[1]
+        grid = cfg.grid_hz()
+        for start in range(0, len(times_s), _BLOCK_STEPS):
+            block = slice(start, start + _BLOCK_STEPS)
+            yield _observation_rows(times_s[block], grid), gains[block]
+        np.copyto(final_cov, cov)
+        return
+    if not is_uniform(times_s):  # a random draw per trace: never retained
+        yield from _gain_recursion(times_s, cfg, final_cov)
+        return
+    table = np.empty((len(times_s), final_cov.shape[0]))
+    start = 0
+    for g_block, gains in _gain_recursion(times_s, cfg, final_cov):
+        table[start:start + len(gains)] = gains
+        start += len(gains)
+        yield g_block, gains
+    cov = final_cov.copy()
+    for array in (table, cov):
         array.flags.writeable = False
-    if is_uniform(times_s):
-        _retained = (key, result)
-    return result
+    _retained = (key, (table, cov))
 
 
-def _gain_recursion(times_s, cfg):
-    """Kalman gain of every step and the final covariance.
+def _gain_recursion(times_s, cfg, final_cov):
+    """Kalman gains a block at a time, and the final covariance.
 
-    Returns the gains as an (n, 2 * n_bins + 1) array and the covariance
-    after the last update.  Observation rows are built a block at a time,
-    so only the gain table grows with n.
+    Yields the observation rows of each block of ``_BLOCK_STEPS`` steps
+    with their gains, in one buffer that the next block overwrites.  The
+    covariance is kept as the lower triangle of a Fortran-ordered array:
+    ``dsymv`` forms P g and ``dsyr`` applies the rank-1 update
+    P -= (P g)(P g)' / s to that triangle only, so P stays symmetric
+    with no pass to enforce it.  After the last block the triangle is
+    mirrored into ``final_cov``, which is then exactly symmetric.
     """
     grid = cfg.grid_hz()
     dim = 2 * cfg.n_bins + 1
-    gains = np.empty((len(times_s), dim))
-    p = np.eye(dim) * cfg.init_cov
-    p_diag = p.reshape(-1)[::dim + 1]  # a view: writes go to p
-    pg = np.empty(dim)
-    buf = np.empty_like(p)
+    p = np.asfortranarray(np.eye(dim) * cfg.init_cov)
+    p_diag = p.reshape(-1, order="F")[::dim + 1]  # a view: writes go to p
+    # each step leaves P g in its gains row and the innovation variance
+    # in s; the block's rows are divided by their s in one call
+    gains = np.empty((min(len(times_s), _BLOCK_STEPS), dim))
+    s = np.empty((len(gains), 1))
     for start in range(0, len(times_s), _BLOCK_STEPS):
         g_block = _observation_rows(times_s[start:start + _BLOCK_STEPS], grid)
-        for k, g in enumerate(g_block, start):
-            if k > 0:
+        for k, g in enumerate(g_block):
+            if start + k > 0:
                 p_diag += cfg.process_var  # random walk: F = I
-            np.matmul(p, g, out=pg)
-            gain = np.divide(pg, float(g @ pg) + cfg.meas_var, out=gains[k])
-            # p = (d + d.T) / 2 with d = p - outer(gain, pg), in place;
-            # the transposed copy is faster than adding p.T, and * 0.5
-            # is exact
-            np.einsum("i,j->ij", gain, pg, out=buf)
-            p -= buf
-            np.copyto(buf, p.T)
-            buf += p
-            np.multiply(buf, 0.5, out=p)
-    return gains, p
+            pg = dsymv(1.0, p, g, y=gains[k], lower=1, overwrite_y=1)
+            s[k] = s_k = float(g @ pg) + cfg.meas_var
+            dsyr(-1.0 / s_k, pg, a=p, lower=1, overwrite_a=1)
+        m = len(g_block)
+        gains[:m] /= s[:m]
+        yield g_block, gains[:m]
+    np.add(np.tril(p), np.tril(p, -1).T, out=final_cov)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from rssb.cli import ESTIMATES_HEADER, main
 from rssb.presets import example_scenario_path
@@ -33,8 +34,8 @@ def test_simulate_estimate_evaluate_round_trip(tmp_path):
     trace = simulate(tmp_path)
     manifest = json.loads((tmp_path / "trace.csv.manifest.json").read_text())
     assert manifest["command"] == "simulate"
-    assert set(manifest) >= {"command", "argv", "version", "created_utc",
-                             "seed", "config", "outputs"}
+    assert set(manifest) >= {"command", "argv", "version", "numpy", "scipy",
+                             "created_utc", "seed", "config", "outputs"}
     assert manifest["seed"] == 5
     assert manifest["config"]["duration_s"] == 60
 
@@ -45,6 +46,11 @@ def test_simulate_estimate_evaluate_round_trip(tmp_path):
     header, rows = read_rows(estimates)
     assert header == ESTIMATES_HEADER
     assert {row[1] for row in rows} == {"dft", "kf", "gp"}
+    for stem in ("trace", "estimates"):
+        manifest = json.loads(
+            (tmp_path / f"{stem}.csv.manifest.json").read_text())
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
 
     metrics = tmp_path / "metrics.json"
     rc = run(["evaluate", "--estimates", str(estimates),

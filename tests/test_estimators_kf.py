@@ -19,6 +19,12 @@ from rssb.estimators import kf as kf_module
 
 FS = 31.25
 ROW_KEYS = ("recon", "peak_amp", "dc", "final_cov")
+# kf updates one triangle of its covariance with symmetric BLAS kernels,
+# which round differently from kf_reference's full-matrix loop.  Over 40
+# draws (300-3750 steps, with and without drops, noise std 0.5-8) the
+# worst deviation was 1.8e-13 of max|reference| (peak_amp), and no f_hat
+# differed.
+REFERENCE_RTOL = 1e-12
 
 
 def kf_reference(times_s, z, cfg=KfConfig()):
@@ -62,6 +68,15 @@ def assert_same_series(series, f_hat, aux):
     assert np.array_equal(series.f_hat_hz, f_hat)
     for key in ROW_KEYS:
         assert np.array_equal(series.aux[key], aux[key]), key
+
+
+def assert_matches_reference(series, f_hat, aux):
+    """f_hat equal, every ROW_KEYS array within REFERENCE_RTOL of the
+    reference's largest magnitude."""
+    assert np.array_equal(series.f_hat_hz, f_hat)
+    for key in ROW_KEYS:
+        bound = REFERENCE_RTOL * np.max(np.abs(aux[key]))
+        assert np.max(np.abs(series.aux[key] - aux[key])) <= bound, key
 
 
 def assert_same_outputs(batch, other):
@@ -209,14 +224,32 @@ def test_input_validation():
         KfConfig(meas_var=0.0)
 
 
-def test_matches_reference_loop_bit_for_bit():
+def test_matches_reference_loop_within_tolerance():
     rng = np.random.default_rng(21)
     t = np.arange(300) / FS
     keep = rng.random(len(t)) >= 0.1
     for times in (t, t[keep]):
         z = (np.sin(2 * np.pi * 0.2 * times)
              + rng.normal(0, 0.5, len(times)) + 2.0)
-        assert_same_series(kf_estimate(times, z), *kf_reference(times, z))
+        assert_matches_reference(kf_estimate(times, z),
+                                 *kf_reference(times, z))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 300), drops=st.booleans(), n_bins=st.integers(1, 75),
+       process_var=st.floats(1e-6, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_final_cov_is_symmetric_positive_definite(n, drops, n_bins,
+                                                  process_var, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / FS
+    if drops:
+        keep = rng.random(n) >= 0.1
+        keep[:2] = True
+        t = t[keep]
+    cfg = KfConfig(n_bins=n_bins, process_var=process_var)
+    cov = kf_estimate(t, rng.normal(0, 1, len(t)), cfg).aux["final_cov"]
+    assert np.array_equal(cov, cov.T)
+    np.linalg.cholesky(cov)
 
 
 @settings(max_examples=25, deadline=None)
@@ -261,8 +294,8 @@ def test_other_config_on_same_grid_equals_its_cold_run(monkeypatch):
     cold = cold_run(monkeypatch, t, rows, other)
     kf_estimate_batch(t, rows)  # retain the default config's gains
     assert_same_outputs(kf_estimate_batch(t, rows, other), cold)
-    assert_same_series(kf_estimate(t, rows[0], other),
-                       *kf_reference(t, rows[0], other))
+    assert_matches_reference(kf_estimate(t, rows[0], other),
+                             *kf_reference(t, rows[0], other))
 
 
 def test_grid_with_drops_is_not_retained(monkeypatch):
