@@ -17,12 +17,19 @@ The filter exploits exactly that structure: sigma points are drawn
 over the scalar log-frequency only, the harmonic substate is pushed
 through each sigma point's rotation analytically, and the measurement
 update is the plain linear one (the observation does not involve the
-log-frequency directly).  Both steps symmetrize the covariance; its
-eigenvalue floor is checked by ``eigh`` only if a Cholesky test fails.
+log-frequency directly).  The predicted moments are the unscented ones,
+assembled as one weighted outer product over augmented sigma points
+[log-frequency; linear mean], and are symmetrized; the measurement
+update P -= (P h)(P h)' / s keeps the covariance exactly symmetric.  The
+eigenvalue floor is checked by ``eigh`` only if a Cholesky test fails,
+and the test's trace shift is taken once per step, from the prediction.
 
 :func:`gp_estimate_batch` steps any number of streams sampled at the
 same times in lockstep, on stacked means and covariances, each row bit
-for bit as it runs alone; :func:`gp_estimate` is the batch of one.
+for bit as it runs alone; :func:`gp_estimate` is the batch of one.  It
+matches the per-sample loop as first written within 1e-10 of each
+output's largest magnitude, with equal floor counts (a tolerance the
+tests pin), not bit for bit.
 """
 
 import math
@@ -114,25 +121,37 @@ def _sigma_weights(cfg: GpConfig):
     return math.sqrt(1 + lam), wm, wc
 
 
-def _recondition(p, counts):
-    """Symmetrize each matrix of the stack ``p``; floor its eigenvalues
-    at 1e-12 of the largest.
+def _gate_shift(diag, eye):
+    """``2e-12 * trace * eye`` for each matrix whose diagonal is a row of
+    ``diag``; ``eye`` is the identity of their size.
 
-    ``eigh`` runs on a matrix only when ``sym - 2e-12 * trace(sym) * I``
-    has no Cholesky factor: the trace bounds the largest eigenvalue of a
-    PSD matrix, so a factor proves the smallest far above the floor.
-    Each time the floor fires it adds one to the matrix's entry of
-    ``counts`` (a list, updated in place).  Returns the symmetrized stack.
+    The trace bounds the largest eigenvalue of a PSD matrix, so a
+    Cholesky factor of ``sym - shift`` proves the smallest eigenvalue
+    above twice the floor of :func:`_recondition`.  A shift taken from
+    a matrix of larger trace proves it too.
     """
-    sym = p + p.mT
-    sym /= 2
-    shifted = sym.copy()
-    diag = shifted.reshape(len(p), -1)[:, ::p.shape[-1] + 1]  # a view
-    diag -= 2e-12 * np.maximum(diag.sum(1), 1e-30)[:, None]
-    for r, mat in enumerate(shifted):
+    return np.multiply.outer(2e-12 * np.maximum(diag.sum(1), 1e-30), eye)
+
+
+def _recondition(p, sym, shift, counts):
+    """Floor the eigenvalues of each matrix of the stack ``p`` at 1e-12
+    of the largest, into ``sym``.
+
+    ``sym`` holds ``p`` symmetrized, ``(p + p.mT) / 2``, or is ``p``
+    itself when ``p`` is exactly symmetric; ``shift`` is a
+    :func:`_gate_shift` of ``sym``'s diagonal or of a larger trace.
+    ``eigh`` runs on a matrix only when ``sym - shift`` has no Cholesky
+    factor, and its floored matrix, symmetrized, replaces that row of
+    ``sym``.  Each time the floor fires it adds one to the matrix's
+    entry of ``counts`` (a list, updated in place).  Returns whether it
+    fired on any matrix.
+    """
+    fired = False
+    for r, mat in enumerate(sym - shift):
         # mat is symmetric: its transpose is Fortran-ordered, so dpotrf
-        # factors it in place, without a copy
-        if dpotrf(mat.T, overwrite_a=True)[1] == 0:
+        # factors it in place, without a copy; the f2py order is
+        # dpotrf(a, lower, clean, overwrite_a)
+        if dpotrf(mat.T, 0, 0, 1)[1] == 0:
             continue
         vals, vecs = np.linalg.eigh(p[r])
         floor = max(vals.max(), 1e-30) * 1e-12
@@ -140,7 +159,8 @@ def _recondition(p, counts):
             floored = vecs @ np.diag(np.maximum(vals, floor)) @ vecs.T
             sym[r] = (floored + floored.T) / 2
             counts[r] += 1
-    return sym
+            fired = True
+    return fired
 
 
 def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
@@ -152,7 +172,10 @@ def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
     reconstruction (``recon``), the DC history, the first component of
     every harmonic block (``harmonic_cos``, one column per harmonic)
     and ``recondition_count``, the number of times the eigenvalue floor
-    fired (checked by ``eigh`` only when a Cholesky test fails).
+    fired (checked by ``eigh`` only when a Cholesky test fails).  The
+    outputs match the per-sample loop as first written within 1e-10 of
+    each one's largest magnitude, with an equal count (a tolerance the
+    tests pin), not bit for bit.
     """
     return gp_estimate_batch(times_s, [z], cfg)[0]
 
@@ -163,11 +186,12 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     All rows step together on stacked (rows, d) means and (rows, d, d)
     covariances.  Each row's series is bit for bit the one a batch of
     that row alone gives: every product is one BLAS call per matrix or
-    vector, as on a single row, and the log-frequency goes through
-    ``math.exp`` element by element.
+    vector, as on a single row, and every other operation is element
+    by element.
     """
     times_s, z = check_rows(times_s, rows)
     n_rows, n = z.shape
+    zt = z.T.copy()
 
     nh = cfg.n_harmonics
     lin_dim = 1 + 2 * nh
@@ -175,26 +199,30 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     harmonics = np.arange(1, nh + 1)
 
     q0, qn = kernel_cosine_weights(cfg.kernel_var, cfg.lengthscale, nh)
-    q_lin = np.r_[q0, np.repeat(qn, 2)]
     gamma, wm, wc = _sigma_weights(cfg)
+    sigma_offsets = gamma * np.array([0.0, 1.0, -1.0])
+    wm_stack = wm[:, None, None]
 
     h_row = np.zeros(dim)
     h_row[1] = 1.0
     h_row[2::2] = 1.0
 
-    m = np.zeros((n_rows, dim))
-    m[:, 0] = cfg.init_log_freq
-    m[:, 1] = z[:, 0]
     harm_var = [1.0 / (2.0 ** j * math.factorial(j)) for j in harmonics]
+    # p holds the symmetric covariance after each step, q the predicted
+    # one before it is symmetrized
     p = np.tile(np.diag(np.r_[cfg.init_log_freq_var, cfg.init_dc_var,
                               np.repeat(harm_var, 2)]), (n_rows, 1, 1))
+    q = np.empty_like(p)
+    p_diag, q_diag = (x.reshape(n_rows, -1)[:, ::dim + 1] for x in (p, q))
+    eye = np.eye(dim)
 
-    # per-step terms of the dynamics, one entry per time delta
-    dts = np.diff(times_s)
+    # per-step terms of the dynamics, one row per time delta: the drift
+    # of the log-frequency, the angle per Hz of each harmonic, and the
+    # process noise of the whole diagonal
+    dts = np.diff(times_s)[:, None]
     log_freq_drift = 0.5 * cfg.freq_drift ** 2 * dts
-    log_freq_noise = cfg.freq_drift * dts
-    lin_noise = 2 * dts[:, None] * q_lin
-    lin_diag = slice(dim + 1, None, dim + 1)  # of a flattened d x d matrix
+    angle_per_hz = 2 * np.pi * dts * harmonics
+    noise = dts * np.r_[cfg.freq_drift, 2 * q0, 2 * np.repeat(qn, 2)]
 
     # linear dynamics per row and sigma point: identity DC, then a
     # rotation by 2*pi*n*f*dt per harmonic, written through strided
@@ -202,67 +230,69 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     a = np.tile(np.eye(lin_dim), (n_rows, 3, 1, 1))
     blocks = a.reshape(n_rows, 3, -1)
     step = 2 * (lin_dim + 1)
-    cos_j = blocks[..., lin_dim + 1::step]       # cos at (j, j)
-    cos_j1 = blocks[..., step::step]             # cos at (j+1, j+1)
+    cos_jj = blocks[..., lin_dim + 1::lin_dim + 1].reshape(
+        n_rows, 3, nh, 2)                        # cos at (j, j), (j+1, j+1)
     sin_lo = blocks[..., 2 * lin_dim + 1::step]  # sin at (j+1, j)
     sin_up = blocks[..., lin_dim + 2::step]      # -sin at (j, j+1)
-    sigma_sign = np.array([0.0, 1.0, -1.0])
 
-    history = np.empty((n_rows, n, dim))
+    # sigma points [log-frequency; linear mean] per row
+    u = np.empty((n_rows, 3, dim))
+    # the mean m of step k is history[:, k], updated in place
+    history = np.zeros((n_rows, n, dim))
+    m = history[:, 0]
+    m[:, 0] = cfg.init_log_freq
+    m[:, 1] = z[:, 0]
     counts = [0] * n_rows
+    shift = _gate_shift(p_diag, eye)
 
     for k in range(n):
         if k > 0:
             # Condition the linear substate on sigma points of the
             # log-frequency, propagate each branch, then re-merge moments.
-            pss = p[:, 0, 0]
+            pss = p[:, 0, :1]
             psl = p[:, 0, 1:]
-            slope = psl / pss[:, None]
-            pl_cond = p[:, 1:, 1:] - slope[:, :, None] * psl[:, None, :]
-            spread = gamma * np.sqrt(pss)
-            s_pts = m[:, :1] + spread[:, None] * sigma_sign
-            s_pts_new = s_pts - log_freq_drift[k - 1]
+            slope = psl / pss
+            pl_cond = p[:, 1:, 1:] - slope[:, :, None] * psl[:, None]
+            offsets = np.sqrt(pss) * sigma_offsets
+            np.add(m[:, :1] - log_freq_drift[k - 1], offsets, out=u[..., 0])
 
-            # math.exp, not np.exp: the two differ in the last bit
-            freqs = np.array([math.exp(pt) for pt in s_pts_new.ravel()
-                              .tolist()]).reshape(n_rows, 3, 1)
-            theta = freqs * harmonics  # then 2 * pi * theta * dt
-            theta *= 2 * np.pi
-            theta *= dts[k - 1]
-            cos_j[...] = cos_j1[...] = np.cos(theta)
-            sin_lo[...] = np.sin(theta)
+            theta = np.exp(u[..., 0])[..., None] * angle_per_hz[k - 1]
+            cos_jj[...] = np.cos(theta)[..., None]
+            np.sin(theta, out=sin_lo)
             np.negative(sin_lo, out=sin_up)
-            lin_pts = np.matvec(a, m[:, None, 1:] + slope[:, None]
-                                * (s_pts - m[:, :1])[..., None])
-            # weighted branch covariances summed over j in order, from 0
-            rot_cov = np.add.reduce(
-                wm[:, None, None] * (a @ pl_cond[:, None] @ a.mT),
-                axis=1, initial=0.0)
+            np.matvec(a, m[:, None, 1:] + slope[:, None] * offsets[..., None],
+                      out=u[..., 1:])
+            rot_cov = ((a * wm_stack) @ pl_cond[:, None] @ a.mT).sum(1)
 
-            s_mean = np.vecdot(wm, s_pts_new)
-            lin_mean = np.vecmat(wm, lin_pts)
-            s_dev = s_pts_new - s_mean[:, None]
-            lin_dev = lin_pts - lin_mean[:, None]
+            # unscented moments: mean sum_j wm u_j, covariance
+            # sum_j wc (u_j - mean)(u_j - mean)' plus the branch spread
+            m = history[:, k]
+            np.vecmat(wm, u, out=m)
+            u -= m[:, None]
+            np.matmul(u.mT * wc, u, out=q)
+            q[:, 1:, 1:] += rot_cov
+            q_diag += noise[k - 1]
+            np.add(q, q.mT, out=p)
+            p /= 2
+            # the shift of this step's gates; the floor changes the trace
+            shift = _gate_shift(p_diag, eye)
+            if _recondition(q, p, shift, counts):
+                shift = _gate_shift(p_diag, eye)
 
-            m[:, 0] = s_mean
-            m[:, 1:] = lin_mean
-            p[:, 0, 0] = np.vecdot(wc, s_dev ** 2) + log_freq_noise[k - 1]
-            p[:, 0, 1:] = np.vecmat(wc * s_dev, lin_dev)
-            p[:, 1:, 0] = p[:, 0, 1:]
-            p[:, 1:, 1:] = (lin_dev.mT * wc) @ lin_dev + rot_cov
-            p.reshape(n_rows, -1)[:, lin_diag] += lin_noise[k - 1]
-            p = _recondition(p, counts)
-
+        # Each posterior entry (ph_i * ph_j) / s equals its transpose, so
+        # p stays exactly symmetric; each diagonal entry p_ii - ph_i**2 / s
+        # is never above the prior's, so the prior's shift still proves
+        # the floor.
         ph = np.matvec(p, h_row)
-        gain = ph / (np.vecdot(h_row, ph) + cfg.meas_var)[:, None]
-        m = m + gain * (z[:, k] - np.vecdot(h_row, m))[:, None]
-        p -= gain[:, :, None] * ph[:, None]
-        p = _recondition(p, counts)
-        history[:, k] = m
+        s = np.vecdot(ph, h_row) + cfg.meas_var
+        m += ph * ((zt[k] - np.vecdot(m, h_row)) / s)[:, None]
+        update = ph[:, :, None] * ph[:, None]
+        update /= s[:, None, None]
+        p -= update
+        _recondition(p, p, shift, counts)
 
-    f_hat = np.array([math.exp(s) for s in history[:, :, 0].ravel().tolist()])
-    f_hat = f_hat.reshape(n_rows, n)
-    recon = np.vecdot(h_row, history)
+    f_hat = np.exp(history[:, :, 0])
+    recon = np.vecdot(history, h_row)
     return [EstimateSeries(
         method="gp", times_s=times_s.copy(), f_hat_hz=f_hat[r],
         aux={"recon": recon[r], "dc": history[r, :, 1].copy(),

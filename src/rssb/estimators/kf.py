@@ -211,9 +211,13 @@ def _gain_recursion(times_s, cfg, final_cov):
         for k, g in enumerate(g_block):
             if start + k > 0:
                 p_diag += cfg.process_var  # random walk: F = I
-            pg = dsymv(1.0, p, g, y=gains[k], lower=1, overwrite_y=1)
+            # positional, as keyword parsing costs about 2 us a step; the
+            # f2py order is dsymv(alpha, a, x, beta, y, offx, incx, offy,
+            # incy, lower, overwrite_y) and dsyr(alpha, x, lower, incx,
+            # offx, n, a, overwrite_a)
+            pg = dsymv(1.0, p, g, 0.0, gains[k], 0, 1, 0, 1, 1, 1)
             s[k] = s_k = float(g @ pg) + cfg.meas_var
-            dsyr(-1.0 / s_k, pg, a=p, lower=1, overwrite_a=1)
+            dsyr(-1.0 / s_k, pg, 1, 1, 0, dim, p, 1)
         m = len(g_block)
         gains[:m] /= s[:m]
         yield g_block, gains[:m]

@@ -11,11 +11,18 @@ from rssb.estimators import (EstimatorError, GpConfig, gp_estimate,
                              gp_estimate_batch, kernel_cosine_truncation,
                              kernel_cosine_weights, kf_estimate,
                              periodic_kernel)
-from rssb.estimators.gp import _recondition, _sigma_weights
+from rssb.estimators.gp import _gate_shift, _recondition, _sigma_weights
 
 FS = 31.25
 AUX_KEYS = ("recon", "dc", "harmonic_cos", "final_state", "final_cov",
             "recondition_count")
+# gp assembles its predicted moments as one weighted outer product, takes
+# np.exp of the log-frequency and keeps its posterior exactly symmetric,
+# so it rounds differently from gp_reference.  The worst deviation seen
+# was 1.2e-12 of an output's largest magnitude on the fixed draws below,
+# 8.1e-13 over 400 draws of the property test and 2.8e-12 (f_hat) on the
+# eigenvalue-floor path.
+REFERENCE_RTOL = 1e-10
 
 
 def eigh_recondition(mat):
@@ -124,6 +131,23 @@ def assert_same_as_reference(series, f_hat, aux):
     assert np.array_equal(series.f_hat_hz, f_hat)
     for key in AUX_KEYS:
         assert np.array_equal(series.aux[key], aux[key]), key
+
+
+def assert_close_to_reference(series, f_hat, aux, scale=0.0):
+    """recondition_count equal; f_hat and every other aux entry within
+    REFERENCE_RTOL of the larger of its own largest magnitude and
+    ``scale``.
+
+    ``scale`` is for outputs that are pure rounding noise, such as the
+    harmonic states on a constant input: pass the input's magnitude.
+    """
+    assert series.aux["recondition_count"] == aux["recondition_count"]
+    pairs = [(series.f_hat_hz, f_hat, "f_hat")] + [
+        (series.aux[key], aux[key], key) for key in AUX_KEYS
+        if key != "recondition_count"]
+    for got, want, key in pairs:
+        bound = REFERENCE_RTOL * max(np.max(np.abs(want)), scale)
+        assert np.max(np.abs(got - want)) <= bound, key
 
 
 def harmonic_signal(f_hz, duration_s, amps, phases, dc=0.0):
@@ -240,6 +264,8 @@ def test_input_validation():
         GpConfig(freq_drift=-1.0)
 
 
+# The name is older than the tolerance: the test now pins
+# REFERENCE_RTOL, not equality.
 @pytest.mark.parametrize("n_harmonics", [1, 2, 3])
 @pytest.mark.parametrize("drops", [False, True], ids=["uniform", "dropped"])
 def test_matches_reference_loop_bit_for_bit(n_harmonics, drops):
@@ -250,14 +276,61 @@ def test_matches_reference_loop_bit_for_bit(n_harmonics, drops):
         keep = rng.random(len(t)) >= 0.1
         t, z = t[keep], z[keep]
     cfg = GpConfig(n_harmonics=n_harmonics)
-    assert_same_as_reference(gp_estimate(t, z, cfg), *gp_reference(t, z, cfg))
+    assert_close_to_reference(gp_estimate(t, z, cfg),
+                              *gp_reference(t, z, cfg))
 
 
 def test_matches_reference_loop_on_in_model_signal():
     t, z = harmonic_signal(0.25, 30.0, amps=(0.8, 0.2), phases=(0.3, -1.0),
                            dc=0.5)
     cfg = GpConfig(meas_var=1e-4)
-    assert_same_as_reference(gp_estimate(t, z, cfg), *gp_reference(t, z, cfg))
+    assert_close_to_reference(gp_estimate(t, z, cfg),
+                              *gp_reference(t, z, cfg))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 200), drops=st.booleans(),
+       n_harmonics=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_matches_reference_loop_within_tolerance(n, drops, n_harmonics,
+                                                 seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / FS
+    if drops:
+        keep = rng.random(n) >= 0.1
+        keep[:2] = True
+        t = t[keep]
+    z = rng.normal(0, 1, len(t)) + np.sin(2 * np.pi * 0.2 * t)
+    cfg = GpConfig(n_harmonics=n_harmonics)
+    series = gp_estimate(t, z, cfg)
+    assert_close_to_reference(series, *gp_reference(t, z, cfg))
+    # the measurement update keeps the covariance exactly symmetric,
+    # which its Cholesky gate relies on
+    cov = series.aux["final_cov"]
+    assert np.array_equal(cov, cov.T)
+
+
+@pytest.mark.parametrize("signal", ["constant", "sine"])
+def test_eigenvalue_floor_matches_reference(signal):
+    # a near-noiseless measurement collapses the covariance onto the
+    # floor: 36 fires on the constant input, 37 on the sine
+    t = np.arange(int(20 * FS)) / FS
+    z = np.full(len(t), 0.3) if signal == "constant" else np.sin(
+        2 * np.pi * 0.25 * t)
+    cfg = GpConfig(meas_var=1e-12)
+    series = gp_estimate(t, z, cfg)
+    f_hat, aux = gp_reference(t, z, cfg)
+    assert aux["recondition_count"] == {"constant": 36, "sine": 37}[signal]
+    assert_close_to_reference(series, f_hat, aux, scale=np.max(np.abs(z)))
+
+
+def gate_as_gp_calls_it(p, counts):
+    """Symmetrize the stack ``p`` and floor it as gp's prediction step
+    does; returns the result."""
+    sym = p + p.mT
+    sym /= 2
+    diag = np.diagonal(sym, axis1=1, axis2=2)
+    _recondition(p, sym, _gate_shift(diag, np.eye(p.shape[-1])), counts)
+    return sym
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,7 +351,7 @@ def test_recondition_matches_eigh_rule(dim, seed, log_scale, log_min,
     p = (q * (vals * scale)) @ q.T
     p += rng.normal(0, 1e-17 * scale, (dim, dim))
     counts = [5]
-    got = _recondition(p[None], counts)
+    got = gate_as_gp_calls_it(p[None], counts)
     want, fired = eigh_recondition(p)
     assert counts == [5 + fired]
     assert np.array_equal(got[0], want)
@@ -330,7 +403,7 @@ def test_stacked_gate_matches_recondition(dim, draws):
     # alone, with its own count
     stack = np.array([near_floor_covariance(dim, *draw) for draw in draws])
     counts = [10 * r for r in range(len(draws))]
-    got = _recondition(stack, counts)
+    got = gate_as_gp_calls_it(stack, counts)
     for r, p in enumerate(stack):
         want, fired = eigh_recondition(p)
         assert counts[r] == 10 * r + fired
