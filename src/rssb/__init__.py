@@ -9,11 +9,9 @@ filter, Gaussian-process frequency tracker).
 from .dsp import FilterDesignError, FilterSpec, design_lowpass, is_uniform, preprocess, resample_uniform
 from .estimators import (DftConfig, EstimateSeries, EstimatorError, GpConfig,
                          KfConfig, dft_estimate, gp_estimate, kf_estimate,
-                         kernel_cosine_truncation, kernel_cosine_weights,
-                         periodic_kernel)
+                         kernel_cosine_weights)
 from .evaluation import (MetricsReport, compute_metrics, convergence_time_s,
-                         freq_mae_bpm, harmonic_energy_fractions,
-                         hit_ratio_pct, modeling_mae_db, noise_std_for_snr,
+                         freq_mae_bpm, hit_ratio_pct, noise_std_for_snr,
                          snr_estimate, snr_sweep)
 from .geometry import (C_LIGHT, DegenerateGeometryError, LinkGeometry,
                        MediumParams, ReflectorMotion, effective_reflection,
@@ -29,16 +27,12 @@ from .presets import (
     preset_scenario,
     second_harmonic_scenario,
 )
-from .rss_model import (HarmonicModel, MovingHarmonics, ReflectionState,
-                        carson_truncation, linear_harmonics,
-                        log_series_coefficients, log_harmonics,
-                        moving_harmonics, ratio_db_exact, ratio_exact,
-                        reflection_state, signal_energy_approx,
-                        signal_energy_total)
-from .simulator import (RssTrace, ScenarioConfig, ScenarioError,
-                        default_channels_hz, load_scenario, save_scenario,
-                        scenario_from_dict, scenario_to_dict, synthesize,
-                        to_absolute)
+from .rss_model import (HarmonicModel, ReflectionState, linear_harmonics,
+                        log_harmonics, log_series_coefficients,
+                        ratio_db_exact, ratio_exact, reflection_state,
+                        signal_energy_approx)
+from .simulator import (RssTrace, ScenarioConfig, ScenarioError, load_scenario,
+                        scenario_from_dict, synthesize, to_absolute)
 
 __version__ = "0.1.0"
 
@@ -57,7 +51,6 @@ __all__ = [
     "LinkGeometry",
     "MediumParams",
     "MetricsReport",
-    "MovingHarmonics",
     "PRESETS",
     "ReflectionState",
     "ReflectorMotion",
@@ -65,10 +58,8 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioError",
     "bed_scenario",
-    "carson_truncation",
     "compute_metrics",
     "convergence_time_s",
-    "default_channels_hz",
     "design_lowpass",
     "dft_estimate",
     "drifting_scenario",
@@ -79,11 +70,9 @@ __all__ = [
     "fresnel_coefficient",
     "gp_estimate",
     "gradient_projection",
-    "harmonic_energy_fractions",
     "hit_ratio_pct",
     "incidence_cosine",
     "is_uniform",
-    "kernel_cosine_truncation",
     "kernel_cosine_weights",
     "kf_estimate",
     "linear_harmonics",
@@ -91,10 +80,7 @@ __all__ = [
     "log_harmonics",
     "log_series_coefficients",
     "midline_scenario",
-    "modeling_mae_db",
-    "moving_harmonics",
     "noise_std_for_snr",
-    "periodic_kernel",
     "preprocess",
     "example_scenario_path",
     "preset_scenario",
@@ -102,12 +88,9 @@ __all__ = [
     "ratio_exact",
     "reflection_state",
     "resample_uniform",
-    "save_scenario",
     "scenario_from_dict",
-    "scenario_to_dict",
     "second_harmonic_scenario",
     "signal_energy_approx",
-    "signal_energy_total",
     "snr_estimate",
     "snr_sweep",
     "synthesize",

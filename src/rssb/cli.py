@@ -33,8 +33,8 @@ from . import __version__
 from .config import from_dict, to_dict
 from .dsp import FilterDesignError, FilterSpec, preprocess
 from .estimators import EstimateSeries, EstimatorError
-from .evaluation import (compute_metrics, snr_estimate, snr_sweep,
-                         write_sweep_csv)
+from .evaluation import (DEFAULT_SNR_TARGETS_DB, compute_metrics,
+                         snr_estimate, snr_sweep, write_sweep_csv)
 from .figures import FIGURES
 from .pipeline import ESTIMATORS, estimate, uniform_samples
 from .presets import PRESETS, preset_scenario
@@ -225,7 +225,7 @@ def cmd_evaluate(args):
 def cmd_sweep(args):
     scenario = _resolve_scenario(args)
     targets = ([float(x) for x in args.targets.split(",")]
-               if args.targets is not None else list(range(-18, -2, 2)))
+               if args.targets is not None else list(DEFAULT_SNR_TARGETS_DB))
     methods = tuple(args.methods.split(","))
     rows = snr_sweep(scenario, targets, n_seeds=args.seeds, methods=methods,
                      jobs=args.jobs)

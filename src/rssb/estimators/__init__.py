@@ -12,14 +12,11 @@ the single-stream function is its batch of one.
 from .common import EstimateSeries, EstimatorError
 from .dft import DftConfig, dft_estimate, dft_estimate_batch
 from .kf import KfConfig, kf_estimate, kf_estimate_batch
-from .gp import (GpConfig, gp_estimate, gp_estimate_batch,
-                 kernel_cosine_truncation, kernel_cosine_weights,
-                 periodic_kernel)
+from .gp import GpConfig, gp_estimate, gp_estimate_batch, kernel_cosine_weights
 
 __all__ = [
     "EstimateSeries", "EstimatorError",
     "DftConfig", "dft_estimate", "dft_estimate_batch",
     "KfConfig", "kf_estimate", "kf_estimate_batch",
-    "GpConfig", "gp_estimate", "gp_estimate_batch", "periodic_kernel",
-    "kernel_cosine_weights", "kernel_cosine_truncation",
+    "GpConfig", "gp_estimate", "gp_estimate_batch", "kernel_cosine_weights",
 ]

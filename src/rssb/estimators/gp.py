@@ -42,13 +42,6 @@ from scipy.linalg.lapack import dpotrf
 from .common import EstimateSeries, EstimatorError, check_rows
 
 
-def periodic_kernel(tau_s, kernel_var, lengthscale, freq_hz):
-    """Quasi-periodic covariance function evaluated at lags ``tau_s``."""
-    tau_s = np.asarray(tau_s, dtype=float)
-    return kernel_var * np.exp(
-        -2 * np.sin(np.pi * freq_hz * tau_s) ** 2 / lengthscale ** 2)
-
-
 def kernel_cosine_weights(kernel_var, lengthscale, n_harmonics):
     """Cosine-series weights of the periodic kernel.
 
@@ -66,17 +59,6 @@ def kernel_cosine_weights(kernel_var, lengthscale, n_harmonics):
     scale = kernel_var * math.exp(-inv_l2)
     n = np.arange(1, n_harmonics + 1)
     return scale * special.iv(0, inv_l2), 2 * scale * special.iv(n, inv_l2)
-
-
-def kernel_cosine_truncation(kernel_var, lengthscale, freq_hz, n_harmonics,
-                             n_lags=512):
-    """Worst-case error of the n-harmonic kernel truncation over one period."""
-    tau = np.linspace(0, 1.0 / freq_hz, n_lags)
-    q0, qn = kernel_cosine_weights(kernel_var, lengthscale, n_harmonics)
-    n = np.arange(1, n_harmonics + 1)
-    approx = q0 + np.cos(2 * np.pi * freq_hz * np.outer(tau, n)) @ qn
-    return float(np.max(np.abs(approx - periodic_kernel(tau, kernel_var,
-                                                        lengthscale, freq_hz))))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ SPLIT_S = 30.0
 HIT_TOL_BPM = 1.0
 OUTLIER_BPM = 3.0
 SNR_BAND_HZ = (0.1, 3.0)
+DEFAULT_SNR_TARGETS_DB = tuple(range(-18, -2, 2))  # the sweep's default grid
 HARMONIC_NEIGHBORHOOD_HZ = 2.0 / 60.0  # +/- 2 bpm around each harmonic
 
 
@@ -79,15 +80,6 @@ def convergence_time_s(times_s, f_hat_hz, true_hz, tol_bpm=HIT_TOL_BPM):
     return float(times_s[0] if len(bad) == 0 else times_s[bad[-1] + 1])
 
 
-def modeling_mae_db(z, reconstruction) -> float:
-    """Mean absolute difference between the input and the modeled signal."""
-    z = np.asarray(z, dtype=float)
-    reconstruction = np.asarray(reconstruction, dtype=float)
-    if z.shape != reconstruction.shape:
-        raise ValueError("signal and reconstruction must have equal length")
-    return float(np.mean(np.abs(z - reconstruction)))
-
-
 def snr_estimate(y, sample_rate_hz, breath_freq_hz, band_hz=SNR_BAND_HZ,
                  neighborhood_hz=HARMONIC_NEIGHBORHOOD_HZ) -> float:
     """Harmonic-to-residual power ratio of the preprocessed signal, in dB.
@@ -114,26 +106,6 @@ def snr_estimate(y, sample_rate_hz, breath_freq_hz, band_hz=SNR_BAND_HZ,
     return float(10 * np.log10(psd[signal_bins].sum() / psd[rest_bins].sum()))
 
 
-def harmonic_energy_fractions(gp_series, n_top=4, settle_s=SPLIT_S):
-    """Per-harmonic share of the tracked signal energy, in percent.
-
-    Averages the squared first component of every harmonic block over
-    the post-transient estimates and normalizes over the ``n_top``
-    lowest harmonics (fewer when the tracker ran with fewer).
-    """
-    if gp_series.method != "gp":
-        raise ValueError("harmonic energy fractions require a gp estimate")
-    harm = gp_series.aux["harmonic_cos"]
-    mask = gp_series.times_s > settle_s
-    if not np.any(mask):
-        raise ValueError("no estimates after the settle time")
-    energies = np.mean(harm[mask] ** 2, axis=0)[:n_top]
-    total = energies.sum()
-    if total == 0:
-        raise ValueError("tracked harmonic energy is identically zero")
-    return 100.0 * energies / total
-
-
 @dataclass
 class MetricsReport:
     """Flat summary of one estimator run against a known rate."""
@@ -148,33 +120,29 @@ class MetricsReport:
     mae_no_outliers_bpm: Optional[float]
     outlier_pct: float
     convergence_time_s: Optional[float]
-    modeling_mae_db: Optional[float] = None
     snr_db: Optional[float] = None
 
     def to_dict(self):
         return asdict(self)
 
 
-def compute_metrics(series, true_freq_hz, *, split_s=SPLIT_S,
-                    tol_bpm=HIT_TOL_BPM, outlier_bpm=OUTLIER_BPM,
-                    modeling_mae=None, snr_db=None) -> MetricsReport:
+def compute_metrics(series, true_freq_hz, *, snr_db=None) -> MetricsReport:
     early, late = convergence_split(series.times_s, series.f_hat_hz,
-                                    true_freq_hz, split_s)
+                                    true_freq_hz)
     mae_clean, outlier_pct = outlier_filtered_mae(series.f_hat_hz,
-                                                  true_freq_hz, outlier_bpm)
+                                                  true_freq_hz)
     return MetricsReport(
         method=series.method,
         true_freq_hz=float(true_freq_hz),
         n_estimates=len(series),
         freq_mae_bpm=freq_mae_bpm(series.f_hat_hz, true_freq_hz),
-        hit_ratio_pct=hit_ratio_pct(series.f_hat_hz, true_freq_hz, tol_bpm),
+        hit_ratio_pct=hit_ratio_pct(series.f_hat_hz, true_freq_hz),
         early_mae_bpm=early,
         late_mae_bpm=late,
         mae_no_outliers_bpm=mae_clean,
         outlier_pct=outlier_pct,
         convergence_time_s=convergence_time_s(series.times_s, series.f_hat_hz,
-                                              true_freq_hz, tol_bpm),
-        modeling_mae_db=modeling_mae,
+                                              true_freq_hz),
         snr_db=snr_db,
     )
 
@@ -233,7 +201,7 @@ def _sweep_chunk(args):
     The cells whose traces share timestamps (all of them, without
     drops) are estimated as one batch.
     """
-    (template, cells, methods, settle_s, tol_bpm) = args
+    template, cells, methods = args
     batches = {}  # timestamps -> (times, cell indices, values)
     for i, (snr_db, seed) in enumerate(cells):
         sigma = noise_std_for_snr(template, snr_db)
@@ -248,15 +216,14 @@ def _sweep_chunk(args):
         for method, series in _estimate_methods(
                 t, rows, template.sample_rate_hz, methods):
             for i, one in zip(index, series):
-                hits[i][method] = hit_ratio_pct(one.after(settle_s)[1],
-                                                true_hz, tol_bpm)
+                hits[i][method] = hit_ratio_pct(one.after(SPLIT_S)[1],
+                                                true_hz)
             del series, one  # free this method's series before the next runs
     return hits
 
 
 def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
-              methods=("dft", "kf", "gp"), settle_s=SPLIT_S,
-              tol_bpm=HIT_TOL_BPM, jobs=1):
+              methods=("dft", "kf", "gp"), jobs=1):
     """Hit ratio of every method across an injected-SNR grid.
 
     For each target SNR the template's noise level is recalibrated and
@@ -280,7 +247,7 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
     # a multiple of jobs chunks of near-equal size keeps the workers even
     n_chunks = jobs * max(1, -(-len(cells) // (jobs * _MAX_CHUNK_CELLS)))
     bounds = [len(cells) * i // n_chunks for i in range(n_chunks + 1)]
-    tasks = [(template, cells[a:b], tuple(methods), settle_s, tol_bpm)
+    tasks = [(template, cells[a:b], tuple(methods))
              for a, b in zip(bounds, bounds[1:]) if b > a]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

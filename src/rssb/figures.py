@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import presets, svgplot
-from .evaluation import snr_sweep, write_sweep_csv
+from .evaluation import DEFAULT_SNR_TARGETS_DB, snr_sweep, write_sweep_csv
 from .rss_model import log_harmonics, ratio_db_exact, reflection_state, signal_energy_approx
 from .simulator import synthesize
 
@@ -29,17 +29,17 @@ def _midline_state(delta_m):
     return reflection_state(scenario.link, scenario.motion, scenario.medium)
 
 
-def truncation_rmse(state, series_orders=(1, 2, 3), truncation_m=2, n_t=512):
-    """RMS error of the truncated harmonic model against the exact signal."""
-    t = (np.arange(n_t) + 0.5) / n_t / state.breath_freq_hz
+def truncation_rmse(state):
+    """RMS error of the two-harmonic model against the exact signal, over
+    one breathing period, for series orders 1, 2 and 3."""
+    t = (np.arange(512) + 0.5) / 512 / state.breath_freq_hz
     displacement = (state.mod_index_rad * state.wavelength_m / (2 * np.pi)
                     * np.sin(2 * np.pi * state.breath_freq_hz * t))
     exact = ratio_db_exact(state.reflection, state.excess_path_m + displacement,
                            state.wavelength_m)
     out = []
-    for order in series_orders:
-        model = log_harmonics(state, truncation_m=truncation_m,
-                              series_order=order)
+    for order in (1, 2, 3):
+        model = log_harmonics(state, truncation_m=2, series_order=order)
         out.append(float(np.sqrt(np.mean((model.evaluate(t) - exact) ** 2))))
     return out
 
@@ -79,14 +79,12 @@ def make_fig3a(outdir):
     return [csv_path, svg_path]
 
 
-def make_fig3b(outdir, duration_s=30.0):
-    """Example traces at quarter- and half-wavelength rest phases."""
+def make_fig3b(outdir):
+    """Example 30 s traces at quarter- and half-wavelength rest phases."""
     lam = presets.DESK_MEDIUM.wavelength_m
     variants = {
-        "fundamental": presets.midline_scenario(1.25 * lam,
-                                                duration_s=duration_s),
-        "double_rate": presets.midline_scenario(1.5 * lam,
-                                                duration_s=duration_s),
+        "fundamental": presets.midline_scenario(1.25 * lam, duration_s=30.0),
+        "double_rate": presets.midline_scenario(1.5 * lam, duration_s=30.0),
     }
     columns = {}
     for name, scenario in variants.items():
@@ -111,12 +109,11 @@ def make_fig3b(outdir, duration_s=30.0):
     return [csv_path, svg_path]
 
 
-def make_fig6c(outdir, snr_targets_db=None, n_seeds=10, jobs=1):
+def make_fig6c(outdir, n_seeds=10, jobs=1):
     """Hit ratio versus injected SNR for the three estimators."""
-    if snr_targets_db is None:
-        snr_targets_db = list(range(-18, -2, 2))
     template = presets.bed_scenario(quantization_db=0.0)
-    rows = snr_sweep(template, snr_targets_db, n_seeds=n_seeds, jobs=jobs)
+    rows = snr_sweep(template, DEFAULT_SNR_TARGETS_DB, n_seeds=n_seeds,
+                     jobs=jobs)
     csv_path = f"{outdir}/fig6c_snr_sweep.csv"
     write_sweep_csv(rows, csv_path)
     svg_path = f"{outdir}/fig6c_snr_sweep.svg"

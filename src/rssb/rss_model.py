@@ -13,9 +13,9 @@ the exact cosine series
 
 and a small periodic displacement of the reflector turns each cosine
 into a phase-modulated tone.  This module exposes the exact ratio, the
-series coefficients, and the harmonic (Bessel) expansions of the
-breathing-modulated signal on both scales, together with the energy
-summaries and truncation rules built on them.
+series coefficients, the harmonic (Bessel) expansions of the
+breathing-modulated signal on both scales, and the energy its first
+two dB-scale harmonics carry.
 """
 
 import math
@@ -33,19 +33,6 @@ DB_PER_LN = 10.0 / math.log(10.0)
 
 DEFAULT_SERIES_ORDER = 50
 """Default truncation of the log-scale coefficient series over i."""
-
-
-def dilog(x):
-    """Dilogarithm Li_2(x) = sum_{i>=1} x**i / i**2 on [0, 1].
-
-    Li_2(1) = pi**2/6.  Evaluated through the Spence integral, accurate
-    to machine precision on the closed interval.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > 1):
-        raise ValueError("dilog argument must lie in [0, 1]")
-    out = special.spence(1.0 - x)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -147,7 +134,8 @@ def log_series_coefficients(reflection, n_terms=DEFAULT_SERIES_ORDER):
     i = np.arange(1, n_terms + 1, dtype=float)
     coeffs = np.empty(n_terms + 1)
     coeffs[0] = -np.log1p(g * g)
-    coeffs[1:] = -2.0 * g ** i / i
+    # the parentheses make -b_i/2 exactly G**i/i, log_harmonics' weight
+    coeffs[1:] = -2.0 * (g ** i / i)
     return coeffs
 
 
@@ -237,11 +225,9 @@ def log_harmonics(state: ReflectionState, truncation_m=2,
         raise ValueError("truncation_m must be at least 1")
     if series_order < 1:
         raise ValueError("series_order must be at least 1")
-    g = state.reflection
-    _check_reflection(g)
+    weight = -log_series_coefficients(state.reflection, series_order)[1:] / 2
     a, psi = state.mod_index_rad, state.static_phase_rad
     i = np.arange(1, series_order + 1, dtype=float)
-    weight = g ** i / i
     dc = -2 * DB_PER_LN * np.sum(special.jv(0, i * a) * weight
                                  * np.cos(i * psi))
     coeffs = np.empty(truncation_m)
@@ -255,81 +241,8 @@ def log_harmonics(state: ReflectionState, truncation_m=2,
                          tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class MovingHarmonics:
-    """Harmonic model of a reflector that also drifts with bulk velocity.
-
-    The breathing coefficients are unchanged; bulk motion displaces the
-    tones instead.  On the linear scale every tone shifts by
-    ``center_shift_hz``; on the dB scale the i-th series term shifts by
-    ``i * center_shift_hz``, so the modeled tone set is
-    {i*center_shift_hz + m*f}.
-    """
-
-    model: HarmonicModel
-    center_shift_hz: float
-
-    def tone_frequencies(self, series_order=1):
-        """Modeled tone frequencies up to the stored truncation.
-
-        For the linear scale pass ``series_order=1``; larger values
-        enumerate the dB-scale tones i*shift + m*f for i up to the
-        requested order and |m| up to the truncation.
-        """
-        m = np.arange(-self.model.truncation_m, self.model.truncation_m + 1)
-        i = np.arange(1, series_order + 1)
-        freqs = (np.multiply.outer(i, self.center_shift_hz)
-                 [:, None] + m[None, :] * self.model.fundamental_hz)
-        return np.unique(freqs.ravel())
-
-
-def moving_harmonics(state: ReflectionState, truncation_m=2,
-                     series_order=DEFAULT_SERIES_ORDER,
-                     scale="log") -> MovingHarmonics:
-    """Breathing harmonics of a drifting reflector plus the tone shift."""
-    if scale == "log":
-        model = log_harmonics(state, truncation_m, series_order)
-    elif scale == "linear":
-        model = linear_harmonics(state, truncation_m)
-    else:
-        raise ValueError(f"unknown scale {scale!r}")
-    return MovingHarmonics(model, state.center_shift_hz)
-
-
-def signal_energy_total(reflection) -> float:
-    """Series energy sum_{i>=1} G**(2i) / i**2 = Li_2(G**2)."""
-    g = float(_check_reflection(reflection))
-    return float(dilog(g * g))
-
-
 def signal_energy_approx(state: ReflectionState,
                          series_order=DEFAULT_SERIES_ORDER) -> float:
     """Energy carried by the first two dB-scale harmonics, c_1**2 + c_2**2."""
     model = log_harmonics(state, truncation_m=2, series_order=series_order)
     return float(model.coefficient(1) ** 2 + model.coefficient(2) ** 2)
-
-
-def carson_truncation(mod_index_rad, breath_freq_hz) -> int:
-    """Number of breathing harmonics worth retaining for a modulation depth.
-
-    Chooses the smallest M whose Bessel weights capture 98 % of the
-    total sideband energy, sum_{m<=M} J_m(a)**2 >= 0.98 * (1 - J_0(a)**2)/2,
-    but never fewer than the conservative two-term truncation used for
-    breathing-scale drives.  A zero drive keeps only the fundamental
-    slot.
-    """
-    if breath_freq_hz < 0:
-        raise ValueError("breath_freq_hz must be non-negative")
-    a = abs(float(mod_index_rad))
-    if a == 0:
-        return 1
-    total = (1 - special.jv(0, a) ** 2) / 2
-    target = 0.98 * total
-    cum = 0.0
-    m = 0
-    while cum < target:
-        m += 1
-        cum += special.jv(m, a) ** 2
-        if m > 1000:
-            raise RuntimeError("harmonic energy accumulation failed to converge")
-    return max(2, m)

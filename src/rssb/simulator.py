@@ -22,7 +22,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .config import from_dict, to_dict
+from .config import from_dict
 from .geometry import (C_LIGHT, LinkGeometry, MediumParams, ReflectorMotion,
                        effective_reflection, excess_path, fresnel_coefficient,
                        incidence_cosine)
@@ -38,11 +38,6 @@ _NUMBER_TEXT = b"0123456789+-.e,\n"
 
 class ScenarioError(ValueError):
     """Scenario configuration failed validation."""
-
-
-def default_channels_hz(count=16, start_hz=2.405e9, spacing_hz=5e6):
-    """Default channel grid: 16 channels at 2.4 GHz with 5 MHz spacing."""
-    return tuple(start_hz + spacing_hz * i for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -322,10 +317,6 @@ def to_absolute(trace: RssTrace, baseline_dbm) -> RssTrace:
 
 # --- scenario (de)serialization -------------------------------------------
 
-def scenario_to_dict(s: ScenarioConfig) -> dict:
-    return to_dict(s)
-
-
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from plain JSON data."""
     try:
@@ -341,9 +332,3 @@ def load_scenario(path) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
-
-
-def save_scenario(scenario: ScenarioConfig, path):
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")

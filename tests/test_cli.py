@@ -267,14 +267,31 @@ def test_simulate_manifest_records_the_resolved_scenario(tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
-def test_figures_fig2c_smoke(tmp_path):
+def check_figure(tmp_path, name):
+    """``rssb figures --which name`` writes one non-empty CSV/SVG pair."""
     out = tmp_path / "figs"
-    rc = run(["figures", "--which", "fig2c", "--out", str(out)])
-    assert rc == 0
-    produced = sorted(p.name for p in out.iterdir())
-    assert "figures.manifest.json" in produced
-    assert any(name.endswith(".csv") for name in produced)
-    assert any(name.endswith(".svg") for name in produced)
+    seeds = ["--seeds", "1"] if name == "fig6c" else []
+    assert run(["figures", "--which", name, "--out", str(out), *seeds]) == 0
+    manifest = out / "figures.manifest.json"
+    outputs = json.loads(manifest.read_text())["outputs"]
+    files = sorted(p for p in out.iterdir() if p != manifest)
+    assert sorted(map(str, files)) == sorted(outputs)
+    # one CSV and its SVG, both with content
+    csv_path, svg_path = files
+    assert csv_path.name.startswith(name) and csv_path.suffix == ".csv"
+    assert svg_path == csv_path.with_suffix(".svg")
+    header, rows = read_rows(csv_path)
+    assert header and rows
+    assert svg_path.read_text().rstrip().endswith("</svg>")
+
+
+def test_figures_fig2c_smoke(tmp_path):
+    check_figure(tmp_path, "fig2c")
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig6c"])
+def test_figures_smoke(tmp_path, name):
+    check_figure(tmp_path, name)
 
 
 def test_bad_arguments_exit_via_argparse(tmp_path):

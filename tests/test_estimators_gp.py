@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rssb.estimators import (EstimatorError, GpConfig, gp_estimate,
-                             gp_estimate_batch, kernel_cosine_truncation,
-                             kernel_cosine_weights, kf_estimate,
-                             periodic_kernel)
+                             gp_estimate_batch, kernel_cosine_weights,
+                             kf_estimate)
 from rssb.estimators.gp import _gate_shift, _recondition, _sigma_weights
 
 FS = 31.25
@@ -158,6 +157,13 @@ def harmonic_signal(f_hz, duration_s, amps, phases, dc=0.0):
     return t, z
 
 
+def periodic_kernel(tau_s, kernel_var, lengthscale, freq_hz):
+    """The quasi-periodic covariance the cosine weights expand."""
+    tau_s = np.asarray(tau_s, dtype=float)
+    return kernel_var * np.exp(
+        -2 * np.sin(np.pi * freq_hz * tau_s) ** 2 / lengthscale ** 2)
+
+
 def test_kernel_weights_sum_to_variance_at_zero_lag():
     kernel_var, ell = 0.01, 0.9
     assert periodic_kernel(0.0, kernel_var, ell, 0.25) == pytest.approx(
@@ -169,8 +175,14 @@ def test_kernel_weights_sum_to_variance_at_zero_lag():
 
 
 def test_kernel_truncation_error_decreases_with_order():
-    errs = [kernel_cosine_truncation(0.01, 0.9, 0.25, n)
-            for n in range(1, 7)]
+    tau = np.linspace(0, 1.0 / 0.25, 512)
+    exact = periodic_kernel(tau, 0.01, 0.9, 0.25)
+    errs = []
+    for n_harmonics in range(1, 7):
+        q0, qn = kernel_cosine_weights(0.01, 0.9, n_harmonics)
+        n = np.arange(1, n_harmonics + 1)
+        approx = q0 + np.cos(2 * np.pi * 0.25 * np.outer(tau, n)) @ qn
+        errs.append(np.max(np.abs(approx - exact)))
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] < errs[0]
 

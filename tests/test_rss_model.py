@@ -2,8 +2,8 @@
 
 The harmonic expansions are checked against Fourier analysis of the
 exact waveform, the series coefficients against direct quadrature, and
-the energy summaries against independent Bessel sums, so no expected
-value below depends on the code under test.
+the two-harmonic energy against its coefficients and its nulls, so no
+expected value below depends on the code under test.
 """
 
 import math
@@ -13,12 +13,10 @@ import pytest
 from scipy import special
 
 from rssb.presets import DESK_LINK, DESK_MEDIUM, bed_scenario, midline_scenario
-from rssb.rss_model import (DB_PER_LN, HarmonicModel, ReflectionState,
-                            carson_truncation, dilog,
-                            linear_harmonics, log_harmonics,
-                            log_series_coefficients, moving_harmonics,
+from rssb.rss_model import (DB_PER_LN, ReflectionState, linear_harmonics,
+                            log_harmonics, log_series_coefficients,
                             ratio_db_exact, ratio_exact, reflection_state,
-                            signal_energy_approx, signal_energy_total)
+                            signal_energy_approx)
 
 
 def synthetic_state(reflection, mod_index_rad, static_phase_rad,
@@ -96,6 +94,16 @@ def test_series_matches_quadrature():
     for i in range(1, 11):
         moment = 2 * np.mean(integrand * np.cos(i * theta))
         assert moment == pytest.approx(b[i], abs=1e-10)
+
+
+@pytest.mark.parametrize("g", [0.0, 1e-300, 1e-5, 0.05, 0.3367, 0.7, 0.99])
+def test_log_harmonics_weights_are_the_series_coefficients(g):
+    # log_harmonics weighs series term i by -b_i / 2; that must be G**i/i
+    # exactly, subnormal terms included, so its coefficients do not move
+    for order in (1, 2, 50, 400):
+        i = np.arange(1, order + 1, dtype=float)
+        b = log_series_coefficients(g, order)
+        assert np.array_equal(-b[1:] / 2, g ** i / i)
 
 
 def test_high_order_series_reproduces_exact_db():
@@ -228,49 +236,7 @@ def test_truncated_reconstruction_error_shrinks_with_order():
     assert rmse[0] > rmse[1] > rmse[2]
 
 
-# --- drifting reflector -----------------------------------------------------
-
-def test_moving_harmonics_zero_velocity_matches_static():
-    state = synthetic_state(0.5, 0.8, 1.0)
-    moving = moving_harmonics(state, truncation_m=3)
-    static = log_harmonics(state, truncation_m=3)
-    assert moving.center_shift_hz == 0.0
-    assert moving.model == static
-
-
-def test_moving_harmonics_tone_frequencies():
-    state = ReflectionState(
-        wavelength_m=0.125, breath_freq_hz=0.2, excess_path_m=0.02,
-        direction_gain=1.0, speed_gain_mps=0.3 * 0.125, fresnel=0.3,
-        reflection=0.3, mod_index_rad=0.5, static_phase_rad=1.0)
-    assert state.center_shift_hz == pytest.approx(0.3)
-    moving = moving_harmonics(state, truncation_m=2, scale="linear")
-    got = moving.tone_frequencies(series_order=1)
-    assert np.allclose(sorted(got), [-0.1, 0.1, 0.3, 0.5, 0.7])
-    with pytest.raises(ValueError):
-        moving_harmonics(state, scale="power")
-
-
-# --- energies and truncation ------------------------------------------------
-
-def test_dilog_identities():
-    assert dilog(0.0) == 0.0
-    assert dilog(1.0) == pytest.approx(math.pi ** 2 / 6, rel=1e-12)
-    x = 0.3
-    series = sum(x ** i / i ** 2 for i in range(1, 200))
-    assert dilog(x) == pytest.approx(series, abs=1e-12)
-    with pytest.raises(ValueError):
-        dilog(1.5)
-
-
-def test_signal_energy_total():
-    assert signal_energy_total(0.0) == 0.0
-    assert signal_energy_total(0.999999) == pytest.approx(
-        math.pi ** 2 / 6, abs=1e-4)
-    g = 0.6
-    series = sum(g ** (2 * i) / i ** 2 for i in range(1, 400))
-    assert signal_energy_total(g) == pytest.approx(series, abs=1e-12)
-
+# --- energies ---------------------------------------------------------------
 
 def test_signal_energy_approx_degenerate_cases():
     assert signal_energy_approx(synthetic_state(0.4, 0.0, 1.0)) == pytest.approx(
@@ -297,23 +263,6 @@ def test_signal_energy_has_deep_nulls_at_half_wavelength_multiples():
     # non-monotone: the dip at 1.5 lambda sits between two higher flanks
     assert energy(1.25 * lam) > 10 * energy(1.5 * lam)
     assert energy(1.75 * lam) > 10 * energy(1.5 * lam)
-
-
-def test_carson_truncation_cases():
-    assert carson_truncation(0.0, 0.2) == 1
-    assert carson_truncation(0.3, 0.2) == 2
-    # independent accumulation of the 98% rule
-    for a in (1.5, 3.0, 5.0):
-        total = (1 - special.jv(0, a) ** 2) / 2
-        cum, m = 0.0, 0
-        while cum < 0.98 * total:
-            m += 1
-            cum += special.jv(m, a) ** 2
-        assert carson_truncation(a, 0.2) == max(2, m)
-    assert carson_truncation(5.0, 0.2) == 6
-    assert carson_truncation(-0.3, 0.2) == 2
-    with pytest.raises(ValueError):
-        carson_truncation(0.5, -0.1)
 
 
 def test_bessel_identities():

@@ -1,5 +1,6 @@
 """Simulator behavior: determinism, degradations, and serialization."""
 
+import json
 import os
 import threading
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rssb.config import to_dict
 from rssb.dsp import is_uniform, resample_uniform
 from rssb.geometry import (C_LIGHT, DegenerateGeometryError, LinkGeometry,
                            effective_reflection, excess_path,
@@ -17,9 +19,11 @@ from rssb.pipeline import estimate
 from rssb.presets import bed_scenario, example_scenario_path, midline_scenario
 from rssb.rss_model import log_harmonics, ratio_db_exact, reflection_state
 from rssb.simulator import (RssTrace, ScenarioConfig, ScenarioError,
-                            default_channels_hz,
-                            load_scenario, save_scenario, scenario_from_dict,
-                            scenario_to_dict, synthesize, to_absolute)
+                            load_scenario, scenario_from_dict, synthesize,
+                            to_absolute)
+
+# the 16-channel grid of the bundled example: 2.405 GHz up in 5 MHz steps
+CHANNELS_HZ = load_scenario(example_scenario_path()).channels_hz
 
 
 def clean(scenario, **kwargs):
@@ -46,8 +50,8 @@ def test_same_seed_is_bit_identical():
 
 
 def test_channel_streams_are_independent_of_channel_count():
-    s16 = bed_scenario(duration_s=5.0, channels_hz=default_channels_hz())
-    s1 = replace(s16, channels_hz=default_channels_hz()[:1])
+    s16 = bed_scenario(duration_s=5.0, channels_hz=CHANNELS_HZ)
+    s1 = replace(s16, channels_hz=CHANNELS_HZ[:1])
     t16, v16 = synthesize(s16).for_channel(0)
     t1, v1 = synthesize(s1).for_channel(0)
     assert np.array_equal(t16, t1)
@@ -116,7 +120,7 @@ def test_every_channel_matches_per_channel_synthesis(model):
 
 
 def test_channel_wavelengths():
-    freqs = default_channels_hz()
+    freqs = CHANNELS_HZ
     assert len(freqs) == 16
     assert freqs[0] == pytest.approx(2.405e9)
     assert np.allclose(np.diff(freqs), 5e6)
@@ -194,7 +198,7 @@ def test_to_absolute_is_exact_offset():
 
 def test_trace_accessors():
     trace = synthesize(bed_scenario(duration_s=2.0,
-                                    channels_hz=default_channels_hz()[:3]))
+                                    channels_hz=CHANNELS_HZ[:3]))
     assert trace.channels() == [0, 1, 2]
     with pytest.raises(KeyError):
         trace.for_channel(7)
@@ -223,7 +227,7 @@ def test_scenario_validation():
 
 def test_csv_round_trip(tmp_path):
     trace = synthesize(bed_scenario(duration_s=2.0, drop_prob=0.05,
-                                    channels_hz=default_channels_hz()[:2]))
+                                    channels_hz=CHANNELS_HZ[:2]))
     path = tmp_path / "trace.csv"
     trace.save_csv(path)
     loaded = RssTrace.load_csv(path)
@@ -280,7 +284,7 @@ def test_csv_codec_matches_per_line_writer(tmp_path_factory, n_channels,
     trace = synthesize(bed_scenario(
         duration_s=10.0, sample_rate_hz=rate_hz, drop_prob=drop_prob,
         quantization_db=quantization_db, seed=seed,
-        channels_hz=default_channels_hz()[:n_channels]))
+        channels_hz=CHANNELS_HZ[:n_channels]))
     folder = tmp_path_factory.mktemp("csv")
     trace.save_csv(folder / "trace.csv")
     write_csv_per_line(trace, folder / "want.csv")
@@ -346,7 +350,7 @@ def test_csv_load_accepts_what_float_and_int_accept(tmp_path):
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_csv_load_reads_a_pipe(tmp_path):
     trace = synthesize(bed_scenario(duration_s=4.0, drop_prob=0.1,
-                                    channels_hz=default_channels_hz()[:3]))
+                                    channels_hz=CHANNELS_HZ[:3]))
     trace.save_csv(tmp_path / "trace.csv")
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)
@@ -405,16 +409,16 @@ def test_csv_load_reports_malformed_rows(tmp_path):
 
 
 def test_scenario_json_round_trip(tmp_path):
-    s = bed_scenario(channels_hz=default_channels_hz(), drop_prob=0.02,
+    s = bed_scenario(channels_hz=CHANNELS_HZ, drop_prob=0.02,
                      model="frozen")
     path = tmp_path / "scenario.json"
-    save_scenario(s, path)
+    path.write_text(json.dumps(to_dict(s), indent=2))
     assert load_scenario(path) == s
 
 
 def test_scenario_dict_errors():
     s = bed_scenario()
-    d = scenario_to_dict(s)
+    d = to_dict(s)
     assert scenario_from_dict(d) == s
     del d["motion"]
     with pytest.raises(ScenarioError):
