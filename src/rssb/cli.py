@@ -22,6 +22,7 @@ errors.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -31,12 +32,12 @@ import scipy
 
 from . import __version__
 from .config import from_dict, to_dict
-from .dsp import FilterDesignError, FilterSpec, preprocess
+from .dsp import FilterDesignError, FilterSpec
 from .estimators import EstimateSeries, EstimatorError
 from .evaluation import (DEFAULT_SNR_TARGETS_DB, compute_metrics,
                          snr_estimate, snr_sweep, write_sweep_csv)
 from .figures import FIGURES
-from .pipeline import ESTIMATORS, estimate, uniform_samples
+from .pipeline import ESTIMATORS, estimate, spectral_input
 from .presets import PRESETS, preset_scenario
 from .simulator import (RssTrace, ScenarioError, read_csv_columns,
                         scenario_from_dict, synthesize, to_absolute)
@@ -138,6 +139,10 @@ def _pick_channel(trace, requested):
 def cmd_simulate(args):
     scenario = _resolve_scenario(args)
     trace = synthesize(scenario)
+    if len(trace.times_s) == 0:  # such a file would not load
+        raise ValueError("the scenario draws no samples "
+                         f"(duration_s {scenario.duration_s}, "
+                         f"drop_prob {scenario.drop_prob})")
     if args.absolute:
         trace = to_absolute(trace, scenario.baseline_dbm)
     trace.save_csv(args.out)
@@ -195,14 +200,16 @@ def _load_estimates(path):
 
 
 def cmd_evaluate(args):
+    if not (math.isfinite(args.true_freq_hz) and args.true_freq_hz >= 0):
+        raise ValueError("--true-freq-hz must be finite and non-negative, "
+                         f"got {args.true_freq_hz}")
     estimates = _load_estimates(args.estimates)
     snr_db = None
     if args.trace:
         trace = RssTrace.load_csv(args.trace)
         t, values = trace.for_channel(_pick_channel(trace, args.channel))
         fs = trace.nominal_rate_hz()
-        _, values = uniform_samples(t, values, fs)
-        y, _ = preprocess(values, FilterSpec(), fs)
+        _, (y,) = spectral_input(t, [values], fs, FilterSpec())
         snr_db = snr_estimate(y, fs, args.true_freq_hz)
 
     report = {}

@@ -16,6 +16,7 @@ from scipy import signal
 _TEMPLATE_GRID = 4096
 _TEMPLATE_SLACK_DB = 1e-6
 _DC_GAIN_TOL = 1e-10
+UNIFORM_TOL = 1e-6  # sampling-interval spread, relative, that is still even
 
 
 class FilterDesignError(ValueError):
@@ -120,12 +121,13 @@ def resample_uniform(times_s, values, sample_rate_hz):
     step = 1.0 / sample_rate_hz
     # a span short of whole steps by roundoff still ends on a grid
     # point (the tolerance of is_uniform)
-    n = int(np.floor((times_s[-1] - times_s[0]) / step + 1e-6)) + 1
+    n = int(np.floor((times_s[-1] - times_s[0]) / step + UNIFORM_TOL)) + 1
     grid = times_s[0] + step * np.arange(n)
     return grid, np.interp(grid, times_s, values)
 
 
-def is_uniform(times_s, tol=1e-6):
-    """True when successive timestamps are evenly spaced within ``tol``."""
+def is_uniform(times_s):
+    """True when the sampling intervals spread by at most ``UNIFORM_TOL``
+    of their median."""
     dt = np.diff(np.asarray(times_s, dtype=float))
-    return bool(len(dt) == 0 or np.ptp(dt) <= tol * np.median(dt))
+    return bool(len(dt) == 0 or np.ptp(dt) <= UNIFORM_TOL * np.median(dt))

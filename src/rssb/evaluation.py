@@ -24,6 +24,7 @@ OUTLIER_BPM = 3.0
 SNR_BAND_HZ = (0.1, 3.0)
 DEFAULT_SNR_TARGETS_DB = tuple(range(-18, -2, 2))  # the sweep's default grid
 HARMONIC_NEIGHBORHOOD_HZ = 2.0 / 60.0  # +/- 2 bpm around each harmonic
+MODEL_HARMONICS = 4  # model harmonics summed into the in-band signal power
 
 
 def _err_bpm(f_hat_hz, true_hz):
@@ -37,17 +38,18 @@ def freq_mae_bpm(f_hat_hz, true_hz) -> float:
     return float(np.mean(np.abs(_err_bpm(f_hat_hz, true_hz))))
 
 
-def hit_ratio_pct(f_hat_hz, true_hz, tol_bpm=HIT_TOL_BPM) -> float:
-    """Percentage of estimates within ``tol_bpm`` of the true rate."""
+def hit_ratio_pct(f_hat_hz, true_hz) -> float:
+    """Percentage of estimates within ``HIT_TOL_BPM`` of the true rate."""
     if len(f_hat_hz) == 0:
         raise ValueError("no estimates to score")
-    return float(100.0 * np.mean(np.abs(_err_bpm(f_hat_hz, true_hz)) <= tol_bpm))
+    err = np.abs(_err_bpm(f_hat_hz, true_hz))
+    return float(100.0 * np.mean(err <= HIT_TOL_BPM))
 
 
-def convergence_split(times_s, f_hat_hz, true_hz, split_s=SPLIT_S):
-    """MAE before and after the split time (None for an empty side)."""
+def convergence_split(times_s, f_hat_hz, true_hz):
+    """MAE up to and after ``SPLIT_S`` (None for an empty side)."""
     times_s = np.asarray(times_s, dtype=float)
-    early = times_s <= split_s
+    early = times_s <= SPLIT_S
     out = []
     for mask in (early, ~early):
         out.append(freq_mae_bpm(np.asarray(f_hat_hz)[mask], true_hz)
@@ -55,24 +57,25 @@ def convergence_split(times_s, f_hat_hz, true_hz, split_s=SPLIT_S):
     return tuple(out)
 
 
-def outlier_filtered_mae(f_hat_hz, true_hz, threshold_bpm=OUTLIER_BPM):
+def outlier_filtered_mae(f_hat_hz, true_hz):
     """MAE excluding harmonic-lock outliers, plus the excluded share.
 
-    Returns ``(mae_bpm, outlier_pct)``; the MAE is None when every
-    estimate is an outlier.
+    An outlier is an estimate more than ``OUTLIER_BPM`` off.  Returns
+    ``(mae_bpm, outlier_pct)``; the MAE is None when every estimate is
+    an outlier.
     """
     err = np.abs(_err_bpm(f_hat_hz, true_hz))
-    keep = err <= threshold_bpm
+    keep = err <= OUTLIER_BPM
     pct = float(100.0 * np.mean(~keep)) if len(err) else 0.0
     if not np.any(keep):
         return None, pct
     return float(np.mean(err[keep])), pct
 
 
-def convergence_time_s(times_s, f_hat_hz, true_hz, tol_bpm=HIT_TOL_BPM):
-    """Earliest time from which every estimate stays within tolerance."""
+def convergence_time_s(times_s, f_hat_hz, true_hz):
+    """Earliest time from which all estimates stay within HIT_TOL_BPM."""
     times_s = np.asarray(times_s, dtype=float)
-    ok = np.abs(_err_bpm(f_hat_hz, true_hz)) <= tol_bpm
+    ok = np.abs(_err_bpm(f_hat_hz, true_hz)) <= HIT_TOL_BPM
     if not ok[-1]:
         return None
     # last index where the estimate was outside tolerance
@@ -80,13 +83,12 @@ def convergence_time_s(times_s, f_hat_hz, true_hz, tol_bpm=HIT_TOL_BPM):
     return float(times_s[0] if len(bad) == 0 else times_s[bad[-1] + 1])
 
 
-def snr_estimate(y, sample_rate_hz, breath_freq_hz, band_hz=SNR_BAND_HZ,
-                 neighborhood_hz=HARMONIC_NEIGHBORHOOD_HZ) -> float:
+def snr_estimate(y, sample_rate_hz, breath_freq_hz) -> float:
     """Harmonic-to-residual power ratio of the preprocessed signal, in dB.
 
-    The periodogram power inside the neighborhoods of the first two
-    breathing harmonics is compared against the remaining power in the
-    search band; the DC bin is always excluded.
+    The periodogram power within ``HARMONIC_NEIGHBORHOOD_HZ`` of the
+    first two breathing harmonics is compared against the remaining
+    power in ``SNR_BAND_HZ``; the DC bin is always excluded.
     """
     y = np.asarray(y, dtype=float)
     if len(y) < 8:
@@ -94,15 +96,16 @@ def snr_estimate(y, sample_rate_hz, breath_freq_hz, band_hz=SNR_BAND_HZ,
     nfft = 1 << int(math.ceil(math.log2(len(y))))
     psd = np.abs(np.fft.rfft(y, nfft)) ** 2
     freqs = np.fft.rfftfreq(nfft, d=1.0 / sample_rate_hz)
-    in_band = (freqs >= band_hz[0]) & (freqs <= band_hz[1])
+    in_band = (freqs >= SNR_BAND_HZ[0]) & (freqs <= SNR_BAND_HZ[1])
     in_band[0] = False
     near = np.zeros_like(in_band)
     for harmonic in (breath_freq_hz, 2 * breath_freq_hz):
-        near |= np.abs(freqs - harmonic) <= neighborhood_hz
+        near |= np.abs(freqs - harmonic) <= HARMONIC_NEIGHBORHOOD_HZ
     signal_bins = in_band & near
     rest_bins = in_band & ~near
     if not np.any(signal_bins) or not np.any(rest_bins):
-        raise ValueError("band too narrow for the harmonic neighborhoods")
+        raise ValueError("SNR band holds no bins near the harmonics, "
+                         "or none away from them")
     return float(10 * np.log10(psd[signal_bins].sum() / psd[rest_bins].sum()))
 
 
@@ -149,39 +152,37 @@ def compute_metrics(series, true_freq_hz, *, snr_db=None) -> MetricsReport:
 
 # --- ensemble sweeps -------------------------------------------------------
 
-def inband_signal_power(scenario: ScenarioConfig, band_hz=SNR_BAND_HZ,
-                        n_harmonics=4) -> float:
-    """Mean-square dB-scale signal power landing inside the band.
+def inband_signal_power(scenario: ScenarioConfig) -> float:
+    """Mean-square dB-scale signal power landing inside ``SNR_BAND_HZ``.
 
     Computed from the harmonic model at the rest position of the first
-    channel: sum of c_m**2 / 2 over harmonics whose tone lies in the
-    band.
+    channel: sum of c_m**2 / 2 over the first ``MODEL_HARMONICS``
+    harmonics whose tone lies in the band.
     """
     medium = replace(scenario.medium,
                      wavelength_m=scenario.channel_wavelengths_m()[0])
     state = reflection_state(scenario.link, scenario.motion, medium)
-    model = log_harmonics(state, truncation_m=n_harmonics)
+    model = log_harmonics(state, truncation_m=MODEL_HARMONICS)
     f = scenario.motion.breath_freq_hz
     power = 0.0
-    for m in range(1, n_harmonics + 1):
-        if band_hz[0] <= m * f <= band_hz[1]:
+    for m in range(1, MODEL_HARMONICS + 1):
+        if SNR_BAND_HZ[0] <= m * f <= SNR_BAND_HZ[1]:
             power += model.coefficient(m) ** 2 / 2
     if power == 0:
         raise ValueError("scenario has no harmonic power inside the band")
     return power
 
 
-def noise_std_for_snr(scenario: ScenarioConfig, snr_db,
-                      band_hz=SNR_BAND_HZ) -> float:
+def noise_std_for_snr(scenario: ScenarioConfig, snr_db) -> float:
     """Noise standard deviation producing a target model-level SNR.
 
     The SNR here is the ratio of the mean-square harmonic signal power
-    to the white-noise sample variance,
+    in ``SNR_BAND_HZ`` to the white-noise sample variance,
     ``snr = 10*log10(P_sig / sigma^2)``.  Unlike the periodogram-ratio
     characterization, this injected quantity is known exactly and stays
     well defined at arbitrarily low values.
     """
-    p_sig = inband_signal_power(scenario, band_hz)
+    p_sig = inband_signal_power(scenario)
     return math.sqrt(p_sig * 10 ** (-snr_db / 10))
 
 

@@ -43,11 +43,16 @@ def check_methods(methods):
         raise ValueError(f"repeated methods: {repeated}")
 
 
-def uniform_samples(times_s, values, sample_rate_hz):
-    """The samples as given when evenly spaced, else resampled to a grid."""
+def spectral_input(times_s, rows, fs, filter_spec, y=None):
+    """The dft's input: a uniform grid and the mean-removed ``y`` of each
+    row on it.  Evenly spaced rows keep their times (and ``y``, if the
+    caller has it); uneven ones are resampled at ``fs``, then filtered."""
     if is_uniform(times_s):
-        return times_s, values
-    return resample_uniform(times_s, values, sample_rate_hz)
+        if y is None:
+            y = [preprocess(v, filter_spec, fs)[0] for v in rows]
+        return times_s, y
+    grids = [resample_uniform(times_s, v, fs) for v in rows]
+    return grids[0][0], [preprocess(v, filter_spec, fs)[0] for _, v in grids]
 
 
 def estimate(times_s, values, fs, methods, configs=None,
@@ -94,12 +99,7 @@ def _estimate_methods(times_s, rows, fs, methods, configs=None,
     y, z = zip(*(preprocess(values, filter_spec, fs) for values in rows))
     inputs = {"kf": (times_s, z), "gp": (times_s, z)}
     if "dft" in methods:
-        if is_uniform(times_s):
-            inputs["dft"] = (times_s, y)
-        else:  # resample, then filter the grid instead
-            grids = [resample_uniform(times_s, v, fs) for v in rows]
-            y_grid = [preprocess(v, filter_spec, fs)[0] for _, v in grids]
-            inputs["dft"] = (grids[0][0], y_grid)
+        inputs["dft"] = spectral_input(times_s, rows, fs, filter_spec, y)
     for method in methods:
         fn, config_cls = ESTIMATORS[method]
         cfg = configs.get(method) or config_cls()

@@ -15,18 +15,19 @@ from .simulator import ScenarioConfig
 
 DESK_LINK = LinkGeometry(tx=(-1.0, 0.0), rx=(1.0, 0.0))
 DESK_MEDIUM = MediumParams()
+DRIFT_SHIFT_HZ = 0.3  # dominant tone of the drifting preset
 
 
-def midline_offset_for_excess(excess_path_m, link: LinkGeometry = DESK_LINK):
-    """Distance from the link line giving a target excess path length.
+def midline_offset_for_excess(excess_path_m):
+    """Distance from the ``DESK_LINK`` line giving a target excess path.
 
     On the bisector both node distances equal sqrt((d/2)**2 + y**2), so
     y = sqrt(((delta + d)/2)**2 - (d/2)**2).
     """
     if excess_path_m < 0:
         raise ValueError("excess path must be non-negative")
-    half_d = link.node_distance / 2
-    return math.sqrt(((excess_path_m + link.node_distance) / 2) ** 2 - half_d ** 2)
+    d = DESK_LINK.node_distance
+    return math.sqrt(((excess_path_m + d) / 2) ** 2 - (d / 2) ** 2)
 
 
 def midline_scenario(excess_path_m, **kwargs) -> ScenarioConfig:
@@ -56,7 +57,7 @@ def bed_scenario(**kwargs) -> ScenarioConfig:
         "noise_std_db": 1.24, "quantization_db": 1.0, **kwargs})
 
 
-def second_harmonic_scenario(**kwargs) -> ScenarioConfig:
+def second_harmonic_scenario() -> ScenarioConfig:
     """Rest position exactly on the 2-lambda ellipse, deep breathing.
 
     The resting phase is an even multiple of pi, which cancels the odd
@@ -65,27 +66,26 @@ def second_harmonic_scenario(**kwargs) -> ScenarioConfig:
     fundamental survives from the position dependence of the
     reflection coefficient along the stroke.
     """
-    return midline_scenario(2.0 * DESK_MEDIUM.wavelength_m, **{
-        "amplitude_m": 0.02, "noise_std_db": 0.05, **kwargs})
+    return midline_scenario(2.0 * DESK_MEDIUM.wavelength_m, amplitude_m=0.02,
+                            noise_std_db=0.05)
 
 
-def drifting_scenario(shift_hz=0.3, **kwargs) -> ScenarioConfig:
+def drifting_scenario() -> ScenarioConfig:
     """Reflector walking away from the link at constant radial speed.
 
     Far from the link the excess-path gradient is nearly constant, so a
     vertical velocity produces a clean tone displacement of
-    ``shift_hz = speed_gain / lambda``.  The required speed is solved
-    from the gradient at the start position.
+    ``DRIFT_SHIFT_HZ = speed_gain / lambda``.  The required speed is
+    solved from the gradient at the start position.
     """
     y0 = 5.0
     half_d = DESK_LINK.node_distance / 2
     node_dist = math.hypot(half_d, y0)
     gain_per_speed = 2 * y0 / node_dist  # gradient projection of (0, 1)
-    speed = shift_hz * DESK_MEDIUM.wavelength_m / gain_per_speed
+    speed = DRIFT_SHIFT_HZ * DESK_MEDIUM.wavelength_m / gain_per_speed
     motion = ReflectorMotion(rest=(0.0, y0), velocity_mps=(0.0, speed))
     return ScenarioConfig(link=DESK_LINK, motion=motion, medium=DESK_MEDIUM,
-                          **{"duration_s": 60.0, "quantization_db": 0.0,
-                             **kwargs})
+                          duration_s=60.0, quantization_db=0.0)
 
 
 PRESETS = {
@@ -95,12 +95,12 @@ PRESETS = {
 }
 
 
-def preset_scenario(name, **kwargs) -> ScenarioConfig:
+def preset_scenario(name) -> ScenarioConfig:
     try:
         factory = PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown preset {name!r}; have {sorted(PRESETS)}") from None
-    return factory(**kwargs)
+    return factory()
 
 
 def example_scenario_path():

@@ -149,12 +149,13 @@ class RssTrace:
                 fh.write("".join(block))
 
     @classmethod
-    def load_csv(cls, path, scale="relative"):
+    def load_csv(cls, path):
+        """Read a trace that :meth:`save_csv` wrote, as relative dB."""
         times, chans, vals = read_csv_columns(
             path, "time_s,channel_id,rss_db", "trace contains no samples",
             (float, int, float))
         return cls(np.asarray(times), np.asarray(chans, dtype=int),
-                   np.asarray(vals), scale=scale)
+                   np.asarray(vals))
 
 
 def read_csv_columns(path, header, empty_message, types):

@@ -10,13 +10,14 @@ import math
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 720, 460
 _ML, _MR, _MT, _MB = 80, 24, 40, 60
+_TICKS = 6  # ticks per axis aimed at before rounding the step
 
 
-def _nice_ticks(lo, hi, target=6):
-    """Round tick positions covering [lo, hi]."""
+def _nice_ticks(lo, hi):
+    """Round tick positions covering [lo, hi], about ``_TICKS`` of them."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICKS
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         step = mult * mag

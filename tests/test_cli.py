@@ -78,6 +78,21 @@ def test_simulate_rejects_zero_duration(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("overrides", [
+    ["duration_s=0.01"],                 # rounds to no time step
+    ["drop_prob=0.99", "duration_s=2"],  # seed 0 drops all 62 samples
+], ids=["no-time-step", "all-dropped"])
+def test_simulate_rejects_a_trace_without_samples(tmp_path, capsys,
+                                                  overrides):
+    out = tmp_path / "x.csv"
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert run(["simulate", "--preset", "bed", *sets, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "no samples" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_estimate_rejects_short_trace(tmp_path, capsys):
     trace = simulate(tmp_path, extra=("--set", "duration_s=10"))
     rc = run(["estimate", "--trace", str(trace), "--method", "dft",
@@ -348,3 +363,22 @@ def test_non_finite_csv_value_exits_2(tmp_path, capsys, bad):
         assert err.startswith("error:") and err.count("\n") == 1
         assert "malformed row 101: values must be finite" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "-0.2"])
+def test_evaluate_rejects_a_rate_that_is_not_finite_or_is_negative(
+        tmp_path, capsys, rate):
+    trace = simulate(tmp_path, extra=("--set", "duration_s=40"))
+    estimates = tmp_path / "estimates.csv"
+    assert run(["estimate", "--trace", str(trace), "--method", "dft",
+                "--out", str(estimates)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "metrics.json"
+    assert run(["evaluate", "--estimates", str(estimates),
+                f"--true-freq-hz={rate}", "--trace", str(trace),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--true-freq-hz must be finite and non-negative" in err
+    assert not out.exists()
+    assert not (tmp_path / "metrics.json.manifest.json").exists()

@@ -51,7 +51,7 @@ def test_outlier_filter_splits_harmonic_locks():
 def test_convergence_split():
     times = np.array([10.0, 20.0, 40.0, 50.0])
     f_hat = F_TRUE + np.array([2.0, 1.0, 0.5, 0.0]) / 60
-    early, late = convergence_split(times, f_hat, F_TRUE, split_s=30.0)
+    early, late = convergence_split(times, f_hat, F_TRUE)
     assert early == pytest.approx(1.5)
     assert late == pytest.approx(0.25)
     early, late = convergence_split(times[:2], f_hat[:2], F_TRUE)
