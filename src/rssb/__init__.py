@@ -32,7 +32,7 @@ from .rss_model import (HarmonicModel, ReflectionState, linear_harmonics,
                         ratio_db_exact, ratio_exact, reflection_state,
                         signal_energy_approx)
 from .simulator import (RssTrace, ScenarioConfig, ScenarioError, load_scenario,
-                        scenario_from_dict, synthesize, to_absolute)
+                        scenario_from_dict, synthesize)
 
 __version__ = "0.1.0"
 
@@ -94,5 +94,4 @@ __all__ = [
     "snr_estimate",
     "snr_sweep",
     "synthesize",
-    "to_absolute",
 ]

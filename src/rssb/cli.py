@@ -32,15 +32,15 @@ import scipy
 
 from . import __version__
 from .config import from_dict, to_dict
-from .dsp import FilterDesignError, FilterSpec
-from .estimators import EstimateSeries, EstimatorError
+from .dsp import FilterSpec
+from .estimators import EstimateSeries
 from .evaluation import (DEFAULT_SNR_TARGETS_DB, compute_metrics,
                          snr_estimate, snr_sweep, write_sweep_csv)
 from .figures import FIGURES
 from .pipeline import ESTIMATORS, estimate, spectral_input
 from .presets import PRESETS, preset_scenario
-from .simulator import (RssTrace, ScenarioError, read_csv_columns,
-                        scenario_from_dict, synthesize, to_absolute)
+from .simulator import (RssTrace, read_csv_columns, scenario_from_dict,
+                        synthesize)
 
 ESTIMATES_HEADER = "time_s,method,f_hat_hz"
 METHODS = tuple(ESTIMATORS)
@@ -144,7 +144,7 @@ def cmd_simulate(args):
                          f"(duration_s {scenario.duration_s}, "
                          f"drop_prob {scenario.drop_prob})")
     if args.absolute:
-        trace = to_absolute(trace, scenario.baseline_dbm)
+        trace.values_db += scenario.baseline_dbm
     trace.save_csv(args.out)
     _write_manifest(args.out, "simulate", to_dict(scenario), scenario.seed,
                     [args.out])
@@ -338,8 +338,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ScenarioError, EstimatorError, FilterDesignError, ValueError,
-            KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

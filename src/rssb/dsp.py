@@ -1,10 +1,12 @@
-"""Causal preprocessing of raw RSS streams.
+"""Low-pass preprocessing of raw RSS streams.
 
-Produces the two low-passed signals the estimators consume: ``y`` with
-the batch mean removed (for spectral methods) and ``z`` with the DC
-level kept (for the state-space trackers).  Filtering is strictly
-causal; no zero-phase tricks, so the output is what an online system
-would see.
+Produces the two signals the estimators consume: ``y``, the stream with
+its batch mean removed and then low-passed (for spectral methods), and
+``z = y + mean``, which puts the DC level back (for the state-space
+trackers).  The filter runs forward only, with no zero-phase tricks,
+but both outputs use the mean of the whole batch.  A constant offset of
+the input, such as a trace's dB reference, moves ``z`` by that constant
+and leaves ``y`` unchanged, up to rounding.
 """
 
 import functools
@@ -83,8 +85,10 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz) -> np.ndarray:
 def preprocess(values, spec: FilterSpec, sample_rate_hz):
     """Low-pass a raw RSS stream into the (y, z) estimator inputs.
 
-    ``z`` is the filtered stream with its DC level intact and ``y``
-    the filtered stream after batch mean removal.  Input samples are
+    ``y`` is the stream after batch mean removal, filtered once, and
+    ``z`` is ``y`` plus that mean: the filter has unity DC gain, so the
+    mean passes it unchanged and needs no filtering, and ``z`` carries
+    no start transient of the stream's level.  Input samples are
     processed in stream order and assumed close to the nominal rate;
     resample first if the timestamps are materially uneven.
 
@@ -98,9 +102,9 @@ def preprocess(values, spec: FilterSpec, sample_rate_hz):
     if len(values) == 0:
         raise ValueError("values must not be empty")
     sos = design_lowpass(spec, sample_rate_hz).copy()  # sosfilt writes
-    z = signal.sosfilt(sos, values)
-    y = signal.sosfilt(sos, values - values.mean())
-    return y, z
+    mean = values.mean()
+    y = signal.sosfilt(sos, values - mean)
+    return y, y + mean
 
 
 def resample_uniform(times_s, values, sample_rate_hz):
@@ -124,6 +128,17 @@ def resample_uniform(times_s, values, sample_rate_hz):
     n = int(np.floor((times_s[-1] - times_s[0]) / step + UNIFORM_TOL)) + 1
     grid = times_s[0] + step * np.arange(n)
     return grid, np.interp(grid, times_s, values)
+
+
+def nominal_rate_hz(times_s):
+    """Sample rate of ``times_s``: 1 / the median sampling interval.
+
+    Rounded to 12 significant digits, which drops the roundoff of the
+    sample times: 60 s of ``np.arange(n) / 25.0`` reports 25.0, not
+    25.000000000000533, so a 30 s window spans ceil(30 · 25) = 750
+    samples, not 751.  The median survives isolated drops.
+    """
+    return float(f"{1.0 / np.median(np.diff(times_s)):.12g}")
 
 
 def is_uniform(times_s):

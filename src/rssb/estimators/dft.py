@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..dsp import is_uniform
+from ..dsp import is_uniform, nominal_rate_hz
 from .common import EstimateSeries, EstimatorError, check_rows
 
 # Windows per rfft call: a block's padded input and full spectrum stay
@@ -89,7 +89,7 @@ def dft_estimate_batch(times_s, rows, cfg: DftConfig = DftConfig()):
     if not is_uniform(times_s):
         raise EstimatorError(
             "periodogram estimator requires uniform sampling; resample first")
-    fs = 1.0 / float(np.median(np.diff(times_s)))
+    fs = nominal_rate_hz(times_s)
     nw = cfg.window_samples(fs)
     if cfg.n_dft < nw:
         raise EstimatorError(

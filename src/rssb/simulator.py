@@ -23,6 +23,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .config import from_dict
+from .dsp import nominal_rate_hz
 from .geometry import (C_LIGHT, LinkGeometry, MediumParams, ReflectorMotion,
                        effective_reflection, excess_path, fresnel_coefficient,
                        incidence_cosine)
@@ -92,16 +93,16 @@ class ScenarioConfig:
 class RssTrace:
     """Sampled RSS measurements, possibly from several channels.
 
-    ``values`` are in dB relative to the unperturbed baseline
-    (``scale == "relative"``) or absolute dBm (``scale == "absolute"``).
-    Dropped samples are simply absent, so per-channel timestamps need
-    not be uniform.
+    ``values_db`` are in dB against any fixed reference: relative to
+    the unperturbed baseline, as :func:`synthesize` writes them, or
+    absolute dBm.  The estimates do not depend on which.  Dropped
+    samples are simply absent, so per-channel timestamps need not be
+    uniform.
     """
 
     times_s: np.ndarray
     channel_ids: np.ndarray
     values_db: np.ndarray
-    scale: str = "relative"
 
     def channels(self):
         return sorted(int(c) for c in np.unique(self.channel_ids))
@@ -118,9 +119,7 @@ class RssTrace:
         t, _ = self.for_channel(self.channels()[0])
         if len(t) < 2:
             raise ValueError("trace too short to infer a sampling rate")
-        # 12 significant digits drop the roundoff of the sample times,
-        # so a 31.25 Hz trace reports 31.25, not 31.24999999999997.
-        return float(f"{1.0 / np.median(np.diff(t)):.12g}")
+        return nominal_rate_hz(t)
 
     def save_csv(self, path):
         """Write the trace in time order; floats reload bit-identical.
@@ -150,7 +149,7 @@ class RssTrace:
 
     @classmethod
     def load_csv(cls, path):
-        """Read a trace that :meth:`save_csv` wrote, as relative dB."""
+        """Read a trace that :meth:`save_csv` wrote."""
         times, chans, vals = read_csv_columns(
             path, "time_s,channel_id,rss_db", "trace contains no samples",
             (float, int, float))
@@ -303,17 +302,8 @@ def synthesize(scenario: ScenarioConfig, seed=None) -> RssTrace:
         all_c.append(np.full(keep.sum(), cid, dtype=int))
         all_v.append(v[keep])
 
-    trace = RssTrace(np.concatenate(all_t), np.concatenate(all_c),
-                     np.concatenate(all_v), scale="relative")
-    return trace
-
-
-def to_absolute(trace: RssTrace, baseline_dbm) -> RssTrace:
-    """Shift a relative trace onto the absolute dBm scale."""
-    if trace.scale != "relative":
-        raise ValueError("trace is already absolute")
-    return RssTrace(trace.times_s, trace.channel_ids,
-                    trace.values_db + baseline_dbm, scale="absolute")
+    return RssTrace(np.concatenate(all_t), np.concatenate(all_c),
+                    np.concatenate(all_v))
 
 
 # --- scenario (de)serialization -------------------------------------------

@@ -65,6 +65,23 @@ def test_simulate_estimate_evaluate_round_trip(tmp_path):
     assert (tmp_path / "metrics.json.manifest.json").exists()
 
 
+def test_absolute_trace_gives_the_same_estimates(tmp_path):
+    relative = simulate(tmp_path, "relative.csv",
+                        ("--set", "baseline_dbm=-41.7"))
+    absolute = simulate(tmp_path, "absolute.csv",
+                        ("--set", "baseline_dbm=-41.7", "--absolute"))
+    rel, ab = RssTrace.load_csv(relative), RssTrace.load_csv(absolute)
+    assert np.array_equal(ab.times_s, rel.times_s)
+    assert np.array_equal(ab.channel_ids, rel.channel_ids)
+    assert np.array_equal(ab.values_db, rel.values_db + -41.7)
+    for trace in (relative, absolute):
+        assert run(["estimate", "--trace", str(trace), "--method", "all",
+                    "--out", str(trace.with_suffix(".est.csv"))]) == 0
+    want = (tmp_path / "relative.est.csv").read_text()
+    assert want.count("\n") > 1000
+    assert (tmp_path / "absolute.est.csv").read_text() == want
+
+
 def test_simulate_is_deterministic_per_seed(tmp_path):
     first = simulate(tmp_path, "a.csv")
     second = simulate(tmp_path, "b.csv")

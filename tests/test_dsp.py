@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 from rssb.dsp import (FilterDesignError, FilterSpec, design_lowpass,
@@ -96,6 +98,19 @@ def test_mean_removal_offsets_the_same_filter():
     # after the transient the two paths differ by the (unity-gain) mean
     tail = slice(2000, None)
     assert np.allclose(y[tail], z[tail] - x.mean(), atol=1e-6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(st.floats(-120.0, 120.0), min_size=1, max_size=400),
+       offset=st.floats(-150.0, 150.0))
+def test_constant_offset_moves_only_the_dc_level(values, offset):
+    values = np.array(values)
+    y, z = preprocess(values, FilterSpec(), FS)
+    y_shift, z_shift = preprocess(values + offset, FilterSpec(), FS)
+    # roundoff of the mean and of the shifted samples, through the filter
+    atol = 1e-12 * (np.max(np.abs(values)) + abs(offset) + 1.0)
+    np.testing.assert_allclose(y_shift, y, rtol=0, atol=atol)
+    np.testing.assert_allclose(z_shift - z, offset, rtol=0, atol=atol)
 
 
 def test_preprocess_validation():

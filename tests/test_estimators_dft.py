@@ -12,12 +12,13 @@ from rssb.estimators.dft import _WINDOWS_PER_FFT
 FS = 31.25
 
 
-def dft_reference(times_s, y, cfg):
-    """One rfft per window over all bins, as first written.
+def dft_reference(y, cfg):
+    """One rfft per window over all bins, as first written, at the
+    known rate ``FS`` of the test signals.
 
     Returns f_hat, recon, the full psd and its frequencies.
     """
-    fs = 1.0 / float(np.median(np.diff(times_s)))
+    fs = FS
     nw = cfg.window_samples(fs)
     freqs = np.fft.rfftfreq(cfg.n_dft, d=1.0 / fs)
     band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
@@ -62,6 +63,21 @@ def test_estimates_start_after_one_full_window():
     assert len(series) == expected_count
     assert np.array_equal(series.aux["window_start_s"],
                           t[::cfg.hop_samples][:expected_count])
+
+
+@pytest.mark.parametrize(
+    "fs", [10.0, 12.5, 15.0, 20.0, 25.0, 30.0, 31.25, 40.0, 50.0, 100.0])
+def test_window_spans_ceil_of_window_s_times_the_rate(fs):
+    # 1 / the median step of np.arange(n) / fs is off by roundoff (above
+    # 25 at 25 Hz); the window must still span ceil(30 s * fs) samples.
+    cfg = DftConfig(n_dft=4096)
+    nw = int(np.ceil(cfg.window_s * fs))
+    n = int(32 * fs)
+    t = np.arange(n) / fs
+    series = dft_estimate(t, np.sin(2 * np.pi * 0.3 * t), cfg)
+    assert series.aux["sample_rate_hz"] == fs
+    assert len(series) == n - nw + 1
+    assert series.times_s[0] == t[nw - 1]
 
 
 def test_insufficient_data_is_an_error():
@@ -158,7 +174,7 @@ def test_matches_per_window_reference(hop):
     rows = [y, rng.normal(0, 1.0, n), np.cos(2 * np.pi * 0.6 * t)]
     for z, series in [(y, dft_estimate(t, y, cfg)),
                       *zip(rows, dft_estimate_batch(t, rows, cfg))]:
-        f_hat, recon, psd, freqs = dft_reference(t, z, cfg)
+        f_hat, recon, psd, freqs = dft_reference(z, cfg)
         assert len(series) == n_windows
         assert np.array_equal(series.f_hat_hz, f_hat)
         assert np.array_equal(series.aux["recon"], recon)

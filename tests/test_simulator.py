@@ -15,12 +15,11 @@ from rssb.dsp import is_uniform, resample_uniform
 from rssb.geometry import (C_LIGHT, DegenerateGeometryError, LinkGeometry,
                            effective_reflection, excess_path,
                            fresnel_coefficient, incidence_cosine)
-from rssb.pipeline import estimate
+from rssb.pipeline import estimate, estimate_batch
 from rssb.presets import bed_scenario, example_scenario_path, midline_scenario
 from rssb.rss_model import log_harmonics, ratio_db_exact, reflection_state
 from rssb.simulator import (RssTrace, ScenarioConfig, ScenarioError,
-                            load_scenario, scenario_from_dict, synthesize,
-                            to_absolute)
+                            load_scenario, scenario_from_dict, synthesize)
 
 # the 16-channel grid of the bundled example: 2.405 GHz up in 5 MHz steps
 CHANNELS_HZ = load_scenario(example_scenario_path()).channels_hz
@@ -184,16 +183,6 @@ def test_drop_probability():
     k = np.round(trace.times_s * s.sample_rate_hz)
     assert np.allclose(trace.times_s, k / s.sample_rate_hz, atol=1e-9)
     assert trace.nominal_rate_hz() == pytest.approx(s.sample_rate_hz)
-
-
-def test_to_absolute_is_exact_offset():
-    s = bed_scenario(duration_s=2.0, baseline_dbm=-41.7)
-    rel = synthesize(s)
-    absolute = to_absolute(rel, s.baseline_dbm)
-    assert absolute.scale == "absolute"
-    assert np.array_equal(absolute.values_db, rel.values_db - 41.7)
-    with pytest.raises(ValueError):
-        to_absolute(absolute, s.baseline_dbm)
 
 
 def test_trace_accessors():
@@ -381,6 +370,27 @@ def test_loaded_trace_gives_the_same_estimates(tmp_path, drop_prob):
     for method in methods:
         assert len(got[method]) > 0
         assert np.array_equal(got[method].f_hat_hz, want[method].f_hat_hz)
+
+
+@pytest.mark.parametrize("drop_prob", [0.0, 0.1])
+@pytest.mark.parametrize("seed", range(4))
+def test_estimates_do_not_depend_on_the_db_reference(seed, drop_prob):
+    # A trace in absolute dBm is the relative trace plus a constant.  The
+    # rows of one batch are each what ``estimate`` gives on them alone.
+    scenario = bed_scenario(duration_s=60.0, drop_prob=drop_prob, seed=seed)
+    t, values = synthesize(scenario).for_channel(0)
+    offsets_db = (-95.0, -40.0, 17.3)
+    methods = ("dft", "kf", "gp")
+    want, *shifted = estimate_batch(
+        t, [values, *(values + c for c in offsets_db)],
+        scenario.sample_rate_hz, methods)
+    for got in shifted:
+        for method in methods:
+            assert len(got[method]) > 0
+        assert np.array_equal(got["dft"].f_hat_hz, want["dft"].f_hat_hz)
+        assert np.array_equal(got["kf"].f_hat_hz, want["kf"].f_hat_hz)
+        np.testing.assert_allclose(got["gp"].f_hat_hz, want["gp"].f_hat_hz,
+                                   rtol=1e-9, atol=0)
 
 
 def test_csv_load_reports_malformed_rows(tmp_path):
