@@ -133,12 +133,21 @@ def resample_uniform(times_s, values, sample_rate_hz):
 def nominal_rate_hz(times_s):
     """Sample rate of ``times_s``: 1 / the median sampling interval.
 
-    Rounded to 12 significant digits, which drops the roundoff of the
-    sample times: 60 s of ``np.arange(n) / 25.0`` reports 25.0, not
-    25.000000000000533, so a 30 s window spans ceil(30 · 25) = 750
-    samples, not 751.  The median survives isolated drops.
+    Only the positive steps within 1.5 times the smallest one count, so
+    the gaps left by dropped samples do not: with half the samples
+    dropped, the median of all steps spans two sampling intervals and
+    would halve the rate.  Timestamps jittered by up to a tenth of a
+    step keep every step.  Rounded to 12 significant digits, which
+    drops the roundoff of the sample times: 60 s of ``np.arange(n) /
+    25.0`` reports 25.0, not 25.000000000000533, so a 30 s window spans
+    ceil(30 · 25) = 750 samples, not 751.
     """
-    return float(f"{1.0 / np.median(np.diff(times_s)):.12g}")
+    dt = np.diff(np.asarray(times_s, dtype=float))
+    dt = dt[dt > 0]
+    if len(dt) == 0:
+        raise ValueError("timestamps hold no increasing step to give a "
+                         "sample rate")
+    return float(f"{1.0 / np.median(dt[dt <= 1.5 * dt.min()]):.12g}")
 
 
 def is_uniform(times_s):

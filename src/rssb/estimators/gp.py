@@ -67,8 +67,12 @@ class GpConfig:
 
     ``freq_drift`` is the diffusion strength of the log-frequency:
     per step it drifts by -freq_drift**2 * dt / 2 and receives noise of
-    variance freq_drift * dt.  Initial harmonic-block variances decay
-    as 1/(2**n * n!); the DC block starts at sqrt(0.1) and the
+    variance freq_drift * dt.  Initial harmonic-block variances are
+    100 * kernel_var / (2**n * n!), so 1/(2**n * n!) at the default.
+    As they scale with ``kernel_var``, scaling the input by c and
+    ``kernel_var``, ``meas_var`` and ``init_dc_var`` by c**2 leaves the
+    rate unchanged (bit for bit when c is a power of two, within
+    roundoff otherwise).  The DC block starts at ``init_dc_var`` and the
     log-frequency at ``init_log_freq_var``.
     """
 
@@ -189,7 +193,9 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     h_row[1] = 1.0
     h_row[2::2] = 1.0
 
-    harm_var = [1.0 / (2.0 ** j * math.factorial(j)) for j in harmonics]
+    # kernel_var * 100 is exactly 1.0 at the default 0.01
+    harm_var = [cfg.kernel_var * 100 / (2.0 ** j * math.factorial(j))
+                for j in harmonics]
     # p holds the symmetric covariance after each step, q the predicted
     # one before it is symmetrized
     p = np.tile(np.diag(np.r_[cfg.init_log_freq_var, cfg.init_dc_var,

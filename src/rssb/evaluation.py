@@ -188,8 +188,8 @@ def noise_std_for_snr(scenario: ScenarioConfig, snr_db) -> float:
 
 # Cells per unit of sweep work.  A worker holds one method's estimate
 # series of every cell of a unit until it has scored them, so this bounds
-# its memory: a unit of 32 bed cells peaks at 65.6 MB under tracemalloc,
-# most of it dft's spectrograms (84.7 MB if the series of all three
+# its memory: a unit of 32 bed cells peaks at 68.4 MB under tracemalloc,
+# most of it dft's spectrograms (78.9 MB if the series of all three
 # methods are held until scored).  kf runs its covariance recursion
 # once per drop-free time grid in each worker process and reuses it
 # across units.

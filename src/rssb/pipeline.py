@@ -8,8 +8,8 @@ three methods see the same preprocessing: the periodogram takes the
 mean-removed stream ``y`` on a uniform grid, the trackers take the
 DC-keeping stream ``z`` on the original, possibly uneven timestamps.
 All three methods take rows: one call runs a method on every stream of
-a batch (kf and gp step the rows together, dft transforms each row's
-windows in their own blocks).
+a batch (kf and gp step the rows together, dft sums each row's in-band
+bins over one shared twiddle table).
 """
 
 from .dsp import FilterSpec, is_uniform, preprocess, resample_uniform
@@ -26,8 +26,8 @@ ESTIMATORS = {
 
 A batch function maps ``(times_s, rows, cfg)`` to one EstimateSeries
 per row of ``rows``, every row sampled at ``times_s``.  kf and gp step
-all rows together, and dft transforms each row's windows in their own
-blocks.
+all rows together, and dft runs each row's in-band sliding sums over
+one twiddle table shared by the rows.
 """
 
 
@@ -76,9 +76,9 @@ def estimate_batch(times_s, rows, fs, methods, configs=None,
 
     Each method runs once over all rows: kf runs its covariance
     recursion, which depends only on the timestamps, at most once, gp steps
-    the states of all rows in lockstep, and dft transforms each row's
-    windows in their own blocks.  Returns one dict per row, each equal
-    to what :func:`estimate` gives on that row alone.
+    the states of all rows in lockstep, and dft builds its table of
+    in-band twiddle factors once for all rows.  Returns one dict per
+    row, each equal to what :func:`estimate` gives on that row alone.
     """
     results = [{} for _ in rows]
     for method, series in _estimate_methods(times_s, rows, fs, methods,

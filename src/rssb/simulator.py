@@ -115,7 +115,8 @@ class RssTrace:
         return self.times_s[mask], self.values_db[mask]
 
     def nominal_rate_hz(self):
-        """Median sampling rate of the first channel, robust to drops."""
+        """Sampling rate of the first channel, robust to drops
+        (:func:`rssb.dsp.nominal_rate_hz`)."""
         t, _ = self.for_channel(self.channels()[0])
         if len(t) < 2:
             raise ValueError("trace too short to infer a sampling rate")

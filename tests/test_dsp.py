@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy import signal
 
 from rssb.dsp import (FilterDesignError, FilterSpec, design_lowpass,
-                      is_uniform, preprocess, resample_uniform)
+                      is_uniform, nominal_rate_hz, preprocess,
+                      resample_uniform)
 
 FS = 31.25
 
@@ -154,6 +155,16 @@ def test_resample_validation():
         resample_uniform([0.0], [1.0], FS)
     with pytest.raises(ValueError):
         resample_uniform([0.0, 0.0, 1.0], [1.0, 2.0, 3.0], FS)
+
+
+def test_nominal_rate_needs_an_increasing_step():
+    # jittered steps all count; repeated timestamps give no rate
+    t = np.arange(100) / FS
+    jitter = np.random.default_rng(0).uniform(-0.002, 0.002, len(t))
+    dt = np.diff(t + jitter)
+    assert nominal_rate_hz(t + jitter) == float(f"{1 / np.median(dt):.12g}")
+    with pytest.raises(ValueError, match="increasing step"):
+        nominal_rate_hz([2.0, 2.0, 2.0])
 
 
 def test_is_uniform():

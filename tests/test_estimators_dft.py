@@ -1,24 +1,32 @@
 """Sliding-window periodogram estimator checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rssb.dsp import FilterSpec, preprocess
 from rssb.estimators import (DftConfig, EstimatorError, dft_estimate,
                              dft_estimate_batch)
-from rssb.estimators.dft import _WINDOWS_PER_FFT
+from rssb.estimators.dft import _SAMPLES_PER_SUM
+from rssb.evaluation import noise_std_for_snr
+from rssb.presets import bed_scenario
+from rssb.simulator import synthesize
 
 FS = 31.25
+RATES_HZ = [10.0, 12.5, 15.0, 20.0, 25.0, 30.0, 31.25, 40.0, 50.0, 100.0]
+# psd and recon against the reference, relative to its largest magnitude
+REFERENCE_RTOL = 1e-12
 
 
-def dft_reference(y, cfg):
+def dft_reference(y, cfg, fs=FS):
     """One rfft per window over all bins, as first written, at the
-    known rate ``FS`` of the test signals.
+    known rate ``fs`` of the test signals.
 
     Returns f_hat, recon, the full psd and its frequencies.
     """
-    fs = FS
     nw = cfg.window_samples(fs)
     freqs = np.fft.rfftfreq(cfg.n_dft, d=1.0 / fs)
     band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
@@ -37,6 +45,26 @@ def dft_reference(y, cfg):
         phase = np.angle(spec[peak])
         recon[j] = amp * np.cos(2 * np.pi * f_hat[j] * (nw - 1) / fs + phase)
     return f_hat, recon, psd, freqs
+
+
+def windows_per_sum(hop):
+    """Windows that share one running sum at ``hop``."""
+    return -(-_SAMPLES_PER_SUM // hop)
+
+
+def assert_matches_reference(series, y, cfg, fs=FS):
+    """``f_hat`` and the band's frequencies equal the reference's; psd and
+    recon lie within ``REFERENCE_RTOL`` of its largest magnitude."""
+    f_hat, recon, psd, freqs = dft_reference(y, cfg, fs)
+    band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
+    assert np.array_equal(series.f_hat_hz, f_hat)
+    assert np.array_equal(series.aux["freq_hz"], freqs[band])
+    psd = psd[:, band]
+    assert series.aux["psd"].shape == psd.shape
+    assert (np.max(np.abs(series.aux["psd"] - psd))
+            <= REFERENCE_RTOL * np.max(psd))
+    assert (np.max(np.abs(series.aux["recon"] - recon))
+            <= REFERENCE_RTOL * np.max(np.abs(recon)))
 
 
 def tone(freq_hz, duration_s, amp=1.0, phase=0.0):
@@ -65,8 +93,7 @@ def test_estimates_start_after_one_full_window():
                           t[::cfg.hop_samples][:expected_count])
 
 
-@pytest.mark.parametrize(
-    "fs", [10.0, 12.5, 15.0, 20.0, 25.0, 30.0, 31.25, 40.0, 50.0, 100.0])
+@pytest.mark.parametrize("fs", RATES_HZ)
 def test_window_spans_ceil_of_window_s_times_the_rate(fs):
     # 1 / the median step of np.arange(n) / fs is off by roundoff (above
     # 25 at 25 Hz); the window must still span ceil(30 s * fs) samples.
@@ -164,8 +191,8 @@ def test_spectrogram_aux_shapes():
 def test_matches_per_window_reference(hop):
     cfg = DftConfig(hop_samples=hop)
     nw = cfg.window_samples(FS)
-    # one or two full blocks of windows plus a partial one
-    n_windows = (2 if hop == 1 else 1) * _WINDOWS_PER_FFT + 5
+    # one or two full running sums of windows plus a partial one
+    n_windows = (2 if hop == 1 else 1) * windows_per_sum(hop) + 5
     n = nw + (n_windows - 1) * hop
     rng = np.random.default_rng(hop)
     t = np.arange(n) / FS
@@ -174,23 +201,52 @@ def test_matches_per_window_reference(hop):
     rows = [y, rng.normal(0, 1.0, n), np.cos(2 * np.pi * 0.6 * t)]
     for z, series in [(y, dft_estimate(t, y, cfg)),
                       *zip(rows, dft_estimate_batch(t, rows, cfg))]:
-        f_hat, recon, psd, freqs = dft_reference(z, cfg)
         assert len(series) == n_windows
-        assert np.array_equal(series.f_hat_hz, f_hat)
-        assert np.array_equal(series.aux["recon"], recon)
-        band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
-        assert np.array_equal(series.aux["freq_hz"], freqs[band])
-        assert np.array_equal(series.aux["psd"], psd[:, band])
+        assert_matches_reference(series, z, cfg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), fs=st.sampled_from(RATES_HZ), hop=st.integers(1, 40),
+       sums=st.integers(0, 2), past_boundary=st.integers(-2, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_sliding_sums_match_reference(data, fs, hop, sums, past_boundary,
+                                      seed):
+    nw = DftConfig().window_samples(fs)
+    # DFT lengths that are not powers of two, at least one window long
+    n_dft = data.draw(st.integers(max(1000, nw), max(3000, nw)), "n_dft")
+    cfg = DftConfig(n_dft=n_dft, hop_samples=hop)
+    n_windows = max(1, sums * windows_per_sum(hop) + past_boundary)
+    n = nw + (n_windows - 1) * hop
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / fs
+    y = np.sin(2 * np.pi * 0.4 * t) + rng.normal(0, 2.0, n)
+    series = dft_estimate(t, y, cfg)
+    assert len(series) == n_windows
+    assert_matches_reference(series, y, cfg, fs)
+
+
+def test_low_snr_bed_traces_match_reference():
+    # at -18 dB the in-band peaks are flat, so near-ties between bins
+    # are as likely as they get on bed traces
+    scenario = bed_scenario()
+    noisy = replace(scenario,
+                    noise_std_db=noise_std_for_snr(scenario, -18.0))
+    fs = scenario.sample_rate_hz
+    cfg = DftConfig()
+    for seed in range(8):
+        t, values = synthesize(noisy, seed=seed).for_channel(0)
+        y, _ = preprocess(values, FilterSpec(), fs)
+        assert_matches_reference(dft_estimate(t, y, cfg), y, cfg, fs)
 
 
 @settings(max_examples=25, deadline=None)
 @given(n_rows=st.integers(1, 4), hop=st.integers(1, 40),
-       n_windows=st.integers(1, 2 * _WINDOWS_PER_FFT + 5),
+       n_windows=st.integers(1, 2 * _SAMPLES_PER_SUM + 5),
        seed=st.integers(0, 2**32 - 1))
-@example(n_rows=3, hop=1, n_windows=_WINDOWS_PER_FFT // 3 + 1, seed=0)
+@example(n_rows=3, hop=1, n_windows=_SAMPLES_PER_SUM // 3 + 1, seed=0)
 def test_batch_rows_equal_single_runs(n_rows, hop, n_windows, seed):
-    # up to 4 rows, each transformed in blocks of 64 windows, so the
-    # window counts drawn fall on either side of a block boundary
+    # up to 4 rows, each summed in blocks of windows_per_sum(hop)
+    # windows, so the counts drawn fall on either side of a block boundary
     cfg = DftConfig(hop_samples=hop)
     n = cfg.window_samples(FS) + (n_windows - 1) * hop
     rng = np.random.default_rng(seed)

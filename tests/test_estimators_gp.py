@@ -1,16 +1,21 @@
 """Quasi-periodic frequency tracker checks."""
 
 import math
+from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rssb.estimators import (EstimatorError, GpConfig, gp_estimate,
+from rssb.dsp import FilterSpec, preprocess
+from rssb.estimators import (EstimatorError, GpConfig, KfConfig, gp_estimate,
                              gp_estimate_batch, kernel_cosine_weights,
                              kf_estimate)
 from rssb.estimators.gp import _gate_shift, _recondition, _sigma_weights
+from rssb.presets import bed_scenario
+from rssb.simulator import synthesize
 
 FS = 31.25
 AUX_KEYS = ("recon", "dc", "harmonic_cos", "final_state", "final_cov",
@@ -420,3 +425,37 @@ def test_stacked_gate_matches_recondition(dim, draws):
         want, fired = eigh_recondition(p)
         assert counts[r] == 10 * r + fired
         assert np.array_equal(got[r], want)
+
+
+@cache
+def bed_rates(method):
+    """The bed trace ``z`` of :func:`test_scale_by_power_of_two_keeps_the_rate`
+    and ``method``'s rates on it at the default config."""
+    scenario = bed_scenario(duration_s=40.0)
+    t, values = synthesize(scenario, seed=0).for_channel(0)
+    _, z = preprocess(values, FilterSpec(), scenario.sample_rate_hz)
+    estimate = {"kf": kf_estimate, "gp": gp_estimate}[method]
+    return t, z, estimate(t, z).f_hat_hz
+
+
+@settings(max_examples=10, deadline=None)
+@given(method=st.sampled_from(["kf", "gp"]), log2_c=st.integers(-8, 8))
+def test_scale_by_power_of_two_keeps_the_rate(method, log2_c):
+    # the paper's linear/log claim: z -> c z with every variance scaled
+    # by c**2 (and kf's amp_floor by c) tracks the same rate; a power of
+    # two scales every rounding step exactly
+    t, z, f_hat = bed_rates(method)
+    c = 2.0 ** log2_c
+    if method == "kf":
+        cfg = KfConfig()
+        scaled = kf_estimate(t, c * z, replace(
+            cfg, process_var=c * c * cfg.process_var,
+            meas_var=c * c * cfg.meas_var, init_cov=c * c * cfg.init_cov,
+            amp_floor=c * cfg.amp_floor))
+    else:
+        cfg = GpConfig()
+        scaled = gp_estimate(t, c * z, replace(
+            cfg, kernel_var=c * c * cfg.kernel_var,
+            meas_var=c * c * cfg.meas_var,
+            init_dc_var=c * c * cfg.init_dc_var))
+    assert np.array_equal(scaled.f_hat_hz, f_hat)

@@ -185,6 +185,15 @@ def test_drop_probability():
     assert trace.nominal_rate_hz() == pytest.approx(s.sample_rate_hz)
 
 
+@pytest.mark.parametrize("drop_prob", [0.3, 0.5, 0.55, 0.7, 0.9])
+def test_heavy_drops_keep_the_sample_rate(drop_prob):
+    # from half the samples dropped on, the median step spans two or
+    # more sampling intervals
+    for seed in range(3):
+        s = bed_scenario(duration_s=60.0, drop_prob=drop_prob, seed=seed)
+        assert synthesize(s).nominal_rate_hz() == s.sample_rate_hz
+
+
 def test_trace_accessors():
     trace = synthesize(bed_scenario(duration_s=2.0,
                                     channels_hz=CHANNELS_HZ[:3]))
