@@ -20,9 +20,17 @@ update is the plain linear one (the observation does not involve the
 log-frequency directly).  The predicted moments are the unscented ones,
 assembled as one weighted outer product over augmented sigma points
 [log-frequency; linear mean], and are symmetrized; the measurement
-update P -= (P h)(P h)' / s keeps the covariance exactly symmetric.  The
-eigenvalue floor is checked by ``eigh`` only if a Cholesky test fails,
-and the test's trace shift is taken once per step, from the prediction.
+update P -= (P h)(P h)' / s keeps the covariance exactly symmetric.
+
+Each prior and posterior is kept above an eigenvalue floor, but the
+floor is tested a block of ``_BLOCK_STEPS`` steps at a time.  A block
+first runs without it; then one stacked Cholesky call tests every
+prior and posterior the block left, each against its step's trace
+shift.  If all pass, no floor would have fired and the block stands.
+Otherwise it runs again from the state before it, with the per-step
+gate of :func:`_recondition`, which runs ``eigh`` only on a matrix
+whose own Cholesky test fails.  Only that run can floor or warn, so
+outputs and warnings are those of gating every step.
 
 :func:`gp_estimate_batch` steps any number of streams sampled at the
 same times in lockstep, on stacked means and covariances, each row bit
@@ -40,6 +48,12 @@ from scipy import special
 from scipy.linalg.lapack import dpotrf
 
 from .common import EstimateSeries, EstimatorError, check_rows
+
+# Steps run a block at a time, and the gates of a whole block are tested
+# by one stacked Cholesky call.  Large enough that numpy's per-call cost
+# vanishes, small enough that the priors and posteriors of 16 rows stay
+# near 1 MB.
+_BLOCK_STEPS = 128
 
 
 def kernel_cosine_weights(kernel_var, lengthscale, n_harmonics):
@@ -116,7 +130,33 @@ def _gate_shift(diag, eye):
     above twice the floor of :func:`_recondition`.  A shift taken from
     a matrix of larger trace proves it too.
     """
-    return np.multiply.outer(2e-12 * np.maximum(diag.sum(1), 1e-30), eye)
+    return np.multiply.outer(2e-12 * np.maximum(diag.sum(-1), 1e-30), eye)
+
+
+def _diagonal(x):
+    """Writable view of the diagonals of the stack of square matrices ``x``."""
+    return x.reshape(*x.shape[:-2], -1)[..., ::x.shape[-1] + 1]
+
+
+def _block_passes(cov, eye):
+    """Whether every gate of a block of steps would pass its Cholesky
+    test, so that none would fire.
+
+    ``cov`` holds the block's symmetric priors, then its posteriors,
+    shape ``(2, steps, rows, d, d)``.  Each matrix minus the
+    :func:`_gate_shift` of its step's prior must have a Cholesky factor,
+    and all must be finite: numpy's factorization does not reject NaN,
+    and a block that turns non-finite must run again to warn.  The shift
+    keeps a 2x margin over the floor, so a matrix near the test's edge
+    does not fire either way.
+    """
+    if not np.isfinite(cov).all():
+        return False
+    try:
+        np.linalg.cholesky(cov - _gate_shift(_diagonal(cov[0]), eye))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _recondition(p, sym, shift, counts):
@@ -130,7 +170,9 @@ def _recondition(p, sym, shift, counts):
     factor, and its floored matrix, symmetrized, replaces that row of
     ``sym``.  Each time the floor fires it adds one to the matrix's
     entry of ``counts`` (a list, updated in place).  Returns whether it
-    fired on any matrix.
+    fired on any matrix.  :func:`gp_estimate_batch` calls it at every
+    step of a block whose stacked test (:func:`_block_passes`) failed,
+    and nowhere else.
     """
     fired = False
     for r, mat in enumerate(sym - shift):
@@ -158,7 +200,9 @@ def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
     reconstruction (``recon``), the DC history, the first component of
     every harmonic block (``harmonic_cos``, one column per harmonic)
     and ``recondition_count``, the number of times the eigenvalue floor
-    fired (checked by ``eigh`` only when a Cholesky test fails).  The
+    fired.  The floor is tested by one stacked Cholesky call per block
+    of steps; only a block that fails it runs again with a gate per
+    step, and only a gate whose Cholesky test fails runs ``eigh``.  The
     outputs match the per-sample loop as first written within 1e-10 of
     each one's largest magnitude, with an equal count (a tolerance the
     tests pin), not bit for bit.
@@ -173,7 +217,9 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     covariances.  Each row's series is bit for bit the one a batch of
     that row alone gives: every product is one BLAS call per matrix or
     vector, as on a single row, and every other operation is element
-    by element.
+    by element.  A block of steps that one row's floor test fails runs
+    again for all rows, which changes nothing for a row whose gates
+    pass.
     """
     times_s, z = check_rows(times_s, rows)
     n_rows, n = z.shape
@@ -201,7 +247,7 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     p = np.tile(np.diag(np.r_[cfg.init_log_freq_var, cfg.init_dc_var,
                               np.repeat(harm_var, 2)]), (n_rows, 1, 1))
     q = np.empty_like(p)
-    p_diag, q_diag = (x.reshape(n_rows, -1)[:, ::dim + 1] for x in (p, q))
+    q_diag = _diagonal(q)
     eye = np.eye(dim)
 
     # per-step terms of the dynamics, one row per time delta: the drift
@@ -225,59 +271,90 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
 
     # sigma points [log-frequency; linear mean] per row
     u = np.empty((n_rows, 3, dim))
-    # the mean m of step k is history[:, k], updated in place
-    history = np.zeros((n_rows, n, dim))
-    m = history[:, 0]
-    m[:, 0] = cfg.init_log_freq
-    m[:, 1] = z[:, 0]
+    # the mean of step k is history[:, k]; step 0 starts from m_init
+    history = np.empty((n_rows, n, dim))
+    m_init = np.zeros((n_rows, dim))
+    m_init[:, 0] = cfg.init_log_freq
+    m_init[:, 1] = z[:, 0]
     counts = [0] * n_rows
-    shift = _gate_shift(p_diag, eye)
+    # the priors, then the posteriors, of the steps of one block
+    cov = np.empty((2, min(n, _BLOCK_STEPS), n_rows, dim, dim))
 
-    for k in range(n):
-        if k > 0:
-            # Condition the linear substate on sigma points of the
-            # log-frequency, propagate each branch, then re-merge moments.
-            pss = p[:, 0, :1]
-            psl = p[:, 0, 1:]
-            slope = psl / pss
-            pl_cond = p[:, 1:, 1:] - slope[:, :, None] * psl[:, None]
-            offsets = np.sqrt(pss) * sigma_offsets
-            np.add(m[:, :1] - log_freq_drift[k - 1], offsets, out=u[..., 0])
-
-            theta = np.exp(u[..., 0])[..., None] * angle_per_hz[k - 1]
-            cos_jj[...] = np.cos(theta)[..., None]
-            np.sin(theta, out=sin_lo)
-            np.negative(sin_lo, out=sin_up)
-            np.matvec(a, m[:, None, 1:] + slope[:, None] * offsets[..., None],
-                      out=u[..., 1:])
-            rot_cov = ((a * wm_stack) @ pl_cond[:, None] @ a.mT).sum(1)
-
-            # unscented moments: mean sum_j wm u_j, covariance
-            # sum_j wc (u_j - mean)(u_j - mean)' plus the branch spread
+    def run_block(start, p, block, gated):
+        """Run the steps of one block from step ``start``, where ``p`` is
+        the covariance of the step before (the initial one at step 0).
+        Each step writes its prior and posterior into the next matrices
+        of ``block``.  Gated, each step floors both (:func:`_recondition`)
+        as it goes; otherwise nothing is tested."""
+        for k, prior, post in zip(range(start, n), *block):
             m = history[:, k]
-            np.vecmat(wm, u, out=m)
-            u -= m[:, None]
-            np.matmul(u.mT * wc, u, out=q)
-            q[:, 1:, 1:] += rot_cov
-            q_diag += noise[k - 1]
-            np.add(q, q.mT, out=p)
-            p /= 2
-            # the shift of this step's gates; the floor changes the trace
-            shift = _gate_shift(p_diag, eye)
-            if _recondition(q, p, shift, counts):
-                shift = _gate_shift(p_diag, eye)
+            if k == 0:
+                m[...] = m_init
+                prior[...] = p
+            else:
+                # Condition the linear substate on sigma points of the
+                # log-frequency, propagate each branch, then re-merge
+                # moments.
+                m_prev = history[:, k - 1]
+                pss = p[:, 0, :1]
+                psl = p[:, 0, 1:]
+                slope = psl / pss
+                pl_cond = p[:, 1:, 1:] - slope[:, :, None] * psl[:, None]
+                offsets = np.sqrt(pss) * sigma_offsets
+                np.add(m_prev[:, :1] - log_freq_drift[k - 1], offsets,
+                       out=u[..., 0])
 
-        # Each posterior entry (ph_i * ph_j) / s equals its transpose, so
-        # p stays exactly symmetric; each diagonal entry p_ii - ph_i**2 / s
-        # is never above the prior's, so the prior's shift still proves
-        # the floor.
-        ph = np.matvec(p, h_row)
-        s = np.vecdot(ph, h_row) + cfg.meas_var
-        m += ph * ((zt[k] - np.vecdot(m, h_row)) / s)[:, None]
-        update = ph[:, :, None] * ph[:, None]
-        update /= s[:, None, None]
-        p -= update
-        _recondition(p, p, shift, counts)
+                theta = np.exp(u[..., 0])[..., None] * angle_per_hz[k - 1]
+                cos_jj[...] = np.cos(theta)[..., None]
+                np.sin(theta, out=sin_lo)
+                np.negative(sin_lo, out=sin_up)
+                np.matvec(a, m_prev[:, None, 1:]
+                          + slope[:, None] * offsets[..., None],
+                          out=u[..., 1:])
+                rot_cov = ((a * wm_stack) @ pl_cond[:, None] @ a.mT).sum(1)
+
+                # unscented moments: mean sum_j wm u_j, covariance
+                # sum_j wc (u_j - mean)(u_j - mean)' plus the branch spread
+                np.vecmat(wm, u, out=m)
+                np.subtract(u, m[:, None], out=u)
+                np.matmul(u.mT * wc, u, out=q)
+                q[:, 1:, 1:] += rot_cov
+                np.add(q_diag, noise[k - 1], out=q_diag)
+                np.add(q, q.mT, out=prior)
+                prior /= 2
+            if gated:
+                # the shift of this step's gates; the floor changes the
+                # trace
+                shift = _gate_shift(_diagonal(prior), eye)
+                if k > 0 and _recondition(q, prior, shift, counts):
+                    shift = _gate_shift(_diagonal(prior), eye)
+
+            # Each posterior entry (ph_i * ph_j) / s equals its transpose,
+            # so it stays exactly symmetric; each diagonal entry
+            # p_ii - ph_i**2 / s is never above the prior's, so the
+            # prior's shift still proves the floor.
+            ph = np.matvec(prior, h_row)
+            s = np.vecdot(ph, h_row) + cfg.meas_var
+            m += ph * ((zt[k] - np.vecdot(m, h_row)) / s)[:, None]
+            update = ph[:, :, None] * ph[:, None]
+            update /= s[:, None, None]
+            np.subtract(prior, update, out=post)
+            if gated:
+                _recondition(post, post, shift, counts)
+            p = post
+
+    # Each block of steps runs once without gates.  If every prior and
+    # posterior it leaves passes the stacked test of its step's gates,
+    # no gate would have fired, and a gate that does not fire changes
+    # nothing.  Otherwise the block runs again, gated, from the state
+    # before it; only that run can floor, and only it warns.
+    for start in range(0, n, _BLOCK_STEPS):
+        block = cov[:, :n - start]
+        with np.errstate(all="ignore"):
+            run_block(start, p, block, gated=False)
+        if not _block_passes(block, eye):
+            run_block(start, p, block, gated=True)
+        p = block[1, -1].copy()
 
     f_hat = np.exp(history[:, :, 0])
     recon = np.vecdot(history, h_row)
@@ -286,5 +363,5 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
         aux={"recon": recon[r], "dc": history[r, :, 1].copy(),
              "harmonic_cos": history[r, :, 2::2].copy(),
              "recondition_count": counts[r],
-             "final_state": m[r].copy(), "final_cov": p[r].copy()},
+             "final_state": history[r, -1].copy(), "final_cov": p[r].copy()},
     ) for r in range(n_rows)]

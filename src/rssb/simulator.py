@@ -108,7 +108,9 @@ class RssTrace:
         return sorted(int(c) for c in np.unique(self.channel_ids))
 
     def for_channel(self, channel_id):
-        """Timestamps and values of one channel, in time order."""
+        """Timestamps and values of one channel, in stored order:
+        strictly increasing in time for a trace that :func:`synthesize`
+        made or :meth:`load_csv` read."""
         mask = self.channel_ids == channel_id
         if not np.any(mask):
             raise KeyError(f"channel {channel_id} not present in trace")
@@ -150,12 +152,35 @@ class RssTrace:
 
     @classmethod
     def load_csv(cls, path):
-        """Read a trace that :meth:`save_csv` wrote."""
+        """Read a trace that :meth:`save_csv` wrote.
+
+        Rows may come in any order across channels, but each channel's
+        timestamps must be strictly increasing down the file; a
+        ValueError names the lowest channel whose timestamps are not.
+        """
         times, chans, vals = read_csv_columns(
             path, "time_s,channel_id,rss_db", "trace contains no samples",
             (float, int, float))
-        return cls(np.asarray(times), np.asarray(chans, dtype=int),
-                   np.asarray(vals))
+        times, chans = np.asarray(times), np.asarray(chans, dtype=int)
+        if (channel := _unordered_channel(times, chans)) is not None:
+            raise ValueError(f"{path}: timestamps of channel {channel} "
+                             "are not strictly increasing")
+        return cls(times, chans, np.asarray(vals))
+
+
+def _unordered_channel(times, chans):
+    """The lowest channel whose ``times`` do not strictly increase in
+    row order, or None."""
+    step = np.diff(times)
+    ties = step == 0
+    # save_csv's order: times never fall, and rows that share a timestamp
+    # list their channels in rising order
+    if np.all(step >= 0) and np.all(np.diff(chans)[ties] > 0):
+        return None
+    order = np.argsort(chans, kind="stable")
+    times, chans = times[order], chans[order]
+    bad = (times[1:] <= times[:-1]) & (chans[1:] == chans[:-1])
+    return int(chans[1:][bad][0]) if bad.any() else None
 
 
 def read_csv_columns(path, header, empty_message, types):

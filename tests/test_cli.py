@@ -382,6 +382,22 @@ def test_non_finite_csv_value_exits_2(tmp_path, capsys, bad):
         assert not out.exists()
 
 
+def test_trace_rows_out_of_time_order_exit_2(tmp_path, capsys):
+    trace = simulate(tmp_path)
+    lines = trace.read_text().splitlines()
+    lines[100], lines[101] = lines[101], lines[100]
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "est.csv"
+    capsys.readouterr()
+    assert run(["estimate", "--trace", str(swapped), "--method", "gp",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {swapped}: timestamps of channel 0 are not "
+                   "strictly increasing\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "-0.2"])
 def test_evaluate_rejects_a_rate_that_is_not_finite_or_is_negative(
         tmp_path, capsys, rate):

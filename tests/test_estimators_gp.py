@@ -1,6 +1,7 @@
 """Quasi-periodic frequency tracker checks."""
 
 import math
+import warnings
 from dataclasses import replace
 from functools import cache
 
@@ -13,7 +14,9 @@ from rssb.dsp import FilterSpec, preprocess
 from rssb.estimators import (EstimatorError, GpConfig, KfConfig, gp_estimate,
                              gp_estimate_batch, kernel_cosine_weights,
                              kf_estimate)
-from rssb.estimators.gp import _gate_shift, _recondition, _sigma_weights
+from rssb.estimators import gp as gp_module
+from rssb.estimators.gp import (_block_passes, _gate_shift, _recondition,
+                                _sigma_weights)
 from rssb.presets import bed_scenario
 from rssb.simulator import synthesize
 
@@ -425,6 +428,131 @@ def test_stacked_gate_matches_recondition(dim, draws):
         want, fired = eigh_recondition(p)
         assert counts[r] == 10 * r + fired
         assert np.array_equal(got[r], want)
+
+
+# near_floor_covariance draws whose smallest eigenvalue lies around the
+# 2e-12 * trace edge of the gates' Cholesky test
+edge_draws = st.tuples(st.integers(0, 2**32 - 1), st.floats(-45.0, 3.0),
+                       st.floats(-12.0, -10.0), st.just(False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.sampled_from([4, 6, 8]),
+       draws=st.lists(edge_draws, min_size=1, max_size=3))
+@example(dim=6, draws=[(0, -20.0, -10.5, False), (1, -3.0, -10.0, False)])
+def test_passing_block_check_means_no_gate_fires(dim, draws):
+    # a block of one step per draw: its prior is the draw symmetrized,
+    # its posterior that prior after a measurement update; whenever the
+    # stacked check passes, each gate leaves its matrix and count alone
+    sym = np.array([near_floor_covariance(dim, *draw) for draw in draws])
+    sym = (sym + sym.mT) / 2
+    h_row = np.ones(dim)
+    ph = np.matvec(sym, h_row)
+    post = sym - ph[:, :, None] * ph[:, None] / (
+        2 * np.vecdot(ph, h_row))[:, None, None]
+    cov = np.stack([sym, post])[:, :, None]
+    if not _block_passes(cov, np.eye(dim)):
+        return
+    for prior, posterior in zip(sym, post):
+        shift = _gate_shift(np.diagonal(prior)[None], np.eye(dim))
+        for mat in (prior, posterior):
+            got, counts = mat[None].copy(), [3]
+            assert not _recondition(mat[None], got, shift, counts)
+            assert counts == [3]
+            assert np.array_equal(got[0], mat)
+
+
+def replayed_blocks(monkeypatch, passes=None):
+    """Make gp's block check ``passes`` (the real one if None) and
+    record, per checked block, its length and whether it passed."""
+    seen = []
+
+    def check(cov, eye):
+        ok = _block_passes(cov, eye) if passes is None else passes
+        seen.append((cov.shape[1], ok))
+        return ok
+
+    monkeypatch.setattr(gp_module, "_block_passes", check)
+    return seen
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 4])
+@pytest.mark.parametrize("drops", [False, True], ids=["uniform", "dropped"])
+@pytest.mark.parametrize("n", [1, 127, 128, 129])
+def test_replayed_blocks_equal_checked_ones(monkeypatch, n, drops, n_rows):
+    # every block, block 0 included, fails its check and runs again with
+    # its gates from the state before it: nothing may change
+    rng = np.random.default_rng(100 * n + 10 * n_rows + drops)
+    t = np.arange(n + n // 8) / FS
+    if drops:
+        t = np.sort(rng.choice(t, n, replace=False))
+    t = t[:n]
+    rows = rng.normal(0, 1, (n_rows, n)) + np.sin(2 * np.pi * 0.2 * t)
+    want = gp_estimate_batch(t, rows)
+    seen = replayed_blocks(monkeypatch, passes=False)
+    got = gp_estimate_batch(t, rows)
+    assert [size for size, _ in seen] == [128] * (n // 128) + (
+        [n % 128] if n % 128 else [])
+    for series, single in zip(got, want):
+        assert_same_as_reference(series, single.f_hat_hz, single.aux)
+
+
+def test_mixed_floor_batch_equals_single_runs(monkeypatch):
+    # at meas_var=1e-12 the constant and the sine floor in block 0 only,
+    # the square wave in blocks 0-1, and its gates' Cholesky tests fail
+    # in block 2 as well.  A block that one row fails is replayed for
+    # all; the last two stand.
+    t = np.arange(int(20 * FS)) / FS
+    rows = [np.full(len(t), 0.3), np.sign(np.sin(2 * np.pi * 0.25 * t)),
+            np.sin(2 * np.pi * 0.25 * t)]
+    cfg = GpConfig(meas_var=1e-12)
+    singles = [gp_estimate(t, z, cfg) for z in rows]
+    assert [s.aux["recondition_count"] for s in singles] == [36, 168, 37]
+    seen = replayed_blocks(monkeypatch)
+    batch = gp_estimate_batch(t, rows, cfg)
+    assert [ok for _, ok in seen] == [False] * 3 + [True] * 2
+    for series, single in zip(batch, singles):
+        assert_same_as_reference(series, single.f_hat_hz, single.aux)
+
+
+def runaway_input(kind):
+    """Heavy-tailed noise, or a sine with one spike at the last step of
+    block 1: the next step's exp(log-frequency) overflows, so block 2 is
+    non-finite while its Cholesky call raises no error."""
+    t = np.arange(625 if kind == "cauchy" else 300) / FS
+    if kind == "cauchy":
+        return t, np.random.default_rng(0).standard_cauchy(625) * 1e3
+    z = np.sin(2 * np.pi * 0.25 * t)
+    z[255] = 1e50
+    return t, z
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "spike"])
+def test_runaway_warns_as_the_gated_steps_do(monkeypatch, kind):
+    # the log-frequency overflows; the ungated pass is silent, so the
+    # warnings are those of the gated replay alone
+    t, z = runaway_input(kind)
+
+    def run():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            series = gp_estimate(t, z)
+        return series, {str(w.message) for w in caught}
+
+    got, messages = run()
+    replayed_blocks(monkeypatch, passes=False)
+    want, want_messages = run()
+    # with every block standing, only f_hat = exp(log-frequency), taken
+    # after the steps, may warn
+    replayed_blocks(monkeypatch, passes=True)
+    assert run()[1] <= {"overflow encountered in exp"}
+    assert messages == want_messages
+    assert {"overflow encountered in exp",
+            "invalid value encountered in cos"} <= messages
+    assert not np.isfinite(got.f_hat_hz).all()
+    assert np.array_equal(got.f_hat_hz, want.f_hat_hz, equal_nan=True)
+    for key in AUX_KEYS:
+        assert np.array_equal(got.aux[key], want.aux[key], equal_nan=True)
 
 
 @cache

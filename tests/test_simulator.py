@@ -402,6 +402,26 @@ def test_estimates_do_not_depend_on_the_db_reference(seed, drop_prob):
                                    rtol=1e-9, atol=0)
 
 
+def test_csv_load_needs_each_channel_in_time_order(tmp_path):
+    # rows that share a timestamp may name their channels in any order,
+    # and channels may interleave; a channel that steps back or repeats a
+    # timestamp is named
+    path = tmp_path / "trace.csv"
+    header = "time_s,channel_id,rss_db\n"
+    path.write_text(header + "0.0,1,1.0\n0.0,0,2.0\n0.5,0,3.0\n"
+                    "0.25,1,4.0\n")
+    assert RssTrace.load_csv(path).channel_ids.tolist() == [1, 0, 0, 1]
+    for rows, channel in [("0.0,0,1.0\n0.5,3,2.0\n0.25,3,3.0\n", 3),
+                          ("0.0,2,1.0\n0.0,2,2.0\n", 2),
+                          ("0.5,4,1.0\n0.5,1,1.0\n0.25,4,2.0\n"
+                           "0.0,1,2.0\n", 1)]:
+        path.write_text(header + rows)
+        with pytest.raises(ValueError) as info:
+            RssTrace.load_csv(path)
+        assert str(info.value) == (f"{path}: timestamps of channel "
+                                   f"{channel} are not strictly increasing")
+
+
 def test_csv_load_reports_malformed_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time_s,channel_id,rss_db\n0.0,0,1.5\noops,0\n")
