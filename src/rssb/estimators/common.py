@@ -6,7 +6,8 @@ import numpy as np
 
 
 class EstimatorError(ValueError):
-    """Estimator input failed validation (too short, uneven, malformed)."""
+    """Estimator input failed validation (too short, uneven, malformed),
+    or a tracker's state ran away to values that are not finite."""
 
 
 @dataclass

@@ -27,10 +27,12 @@ floor is tested a block of ``_BLOCK_STEPS`` steps at a time.  A block
 first runs without it; then one stacked Cholesky call tests every
 prior and posterior the block left, each against its step's trace
 shift.  If all pass, no floor would have fired and the block stands.
-Otherwise it runs again from the state before it, with the per-step
-gate of :func:`_recondition`, which runs ``eigh`` only on a matrix
-whose own Cholesky test fails.  Only that run can floor or warn, so
-outputs and warnings are those of gating every step.
+Otherwise it runs again from the state before it, with the floor of
+:func:`_recondition` (one stacked ``eigh``) at every step, so outputs
+are those of flooring every step.  A state that runs away, a
+covariance or rate that is not finite, raises :class:`EstimatorError`
+naming the time of the first bad step; no floating-point warning is
+reported.
 
 :func:`gp_estimate_batch` steps any number of streams sampled at the
 same times in lockstep, on stacked means and covariances, each row bit
@@ -45,11 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.linalg.lapack import dpotrf
 
 from .common import EstimateSeries, EstimatorError, check_rows
 
-# Steps run a block at a time, and the gates of a whole block are tested
+# Steps run a block at a time, and the floors of a whole block are tested
 # by one stacked Cholesky call.  Large enough that numpy's per-call cost
 # vanishes, small enough that the priors and posteriors of 16 rows stay
 # near 1 MB.
@@ -121,74 +122,56 @@ def _sigma_weights(cfg: GpConfig):
     return math.sqrt(1 + lam), wm, wc
 
 
-def _gate_shift(diag, eye):
-    """``2e-12 * trace * eye`` for each matrix whose diagonal is a row of
-    ``diag``; ``eye`` is the identity of their size.
-
-    The trace bounds the largest eigenvalue of a PSD matrix, so a
-    Cholesky factor of ``sym - shift`` proves the smallest eigenvalue
-    above twice the floor of :func:`_recondition`.  A shift taken from
-    a matrix of larger trace proves it too.
-    """
-    return np.multiply.outer(2e-12 * np.maximum(diag.sum(-1), 1e-30), eye)
-
-
 def _diagonal(x):
     """Writable view of the diagonals of the stack of square matrices ``x``."""
     return x.reshape(*x.shape[:-2], -1)[..., ::x.shape[-1] + 1]
 
 
 def _block_passes(cov, eye):
-    """Whether every gate of a block of steps would pass its Cholesky
-    test, so that none would fire.
+    """Whether no floor of :func:`_recondition` would fire in a block.
 
     ``cov`` holds the block's symmetric priors, then its posteriors,
-    shape ``(2, steps, rows, d, d)``.  Each matrix minus the
-    :func:`_gate_shift` of its step's prior must have a Cholesky factor,
-    and all must be finite: numpy's factorization does not reject NaN,
-    and a block that turns non-finite must run again to warn.  The shift
-    keeps a 2x margin over the floor, so a matrix near the test's edge
-    does not fire either way.
+    shape ``(2, steps, rows, d, d)``; ``eye`` is the identity of size d.
+    All must be finite (numpy's factorization does not reject NaN), and
+    each minus 2e-12 times the trace of its step's prior must have a
+    Cholesky factor.  The trace bounds the largest eigenvalue of a PSD
+    matrix, and a posterior's diagonal is never above its prior's, so a
+    factor proves the smallest eigenvalue above twice the floor: a
+    matrix near the test's edge does not fire either way.
     """
     if not np.isfinite(cov).all():
         return False
+    shift = np.multiply.outer(
+        2e-12 * np.maximum(_diagonal(cov[0]).sum(-1), 1e-30), eye)
     try:
-        np.linalg.cholesky(cov - _gate_shift(_diagonal(cov[0]), eye))
+        np.linalg.cholesky(cov - shift)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
-def _recondition(p, sym, shift, counts):
+def _recondition(p, sym, counts):
     """Floor the eigenvalues of each matrix of the stack ``p`` at 1e-12
-    of the largest, into ``sym``.
+    of the largest, into ``sym``, with one stacked ``eigh`` call.
 
     ``sym`` holds ``p`` symmetrized, ``(p + p.mT) / 2``, or is ``p``
-    itself when ``p`` is exactly symmetric; ``shift`` is a
-    :func:`_gate_shift` of ``sym``'s diagonal or of a larger trace.
-    ``eigh`` runs on a matrix only when ``sym - shift`` has no Cholesky
-    factor, and its floored matrix, symmetrized, replaces that row of
-    ``sym``.  Each time the floor fires it adds one to the matrix's
-    entry of ``counts`` (a list, updated in place).  Returns whether it
-    fired on any matrix.  :func:`gp_estimate_batch` calls it at every
-    step of a block whose stacked test (:func:`_block_passes`) failed,
-    and nowhere else.
+    itself when ``p`` is exactly symmetric.  A floored matrix,
+    symmetrized, replaces its row of ``sym`` and adds one to its entry
+    of ``counts`` (a list, updated in place).  Returns False, flooring
+    nothing, when ``p`` is not finite.  :func:`gp_estimate_batch` calls
+    it at every step of a block whose stacked test
+    (:func:`_block_passes`) failed, and nowhere else.
     """
-    fired = False
-    for r, mat in enumerate(sym - shift):
-        # mat is symmetric: its transpose is Fortran-ordered, so dpotrf
-        # factors it in place, without a copy; the f2py order is
-        # dpotrf(a, lower, clean, overwrite_a)
-        if dpotrf(mat.T, 0, 0, 1)[1] == 0:
-            continue
-        vals, vecs = np.linalg.eigh(p[r])
-        floor = max(vals.max(), 1e-30) * 1e-12
-        if vals.min() < floor:
-            floored = vecs @ np.diag(np.maximum(vals, floor)) @ vecs.T
-            sym[r] = (floored + floored.T) / 2
-            counts[r] += 1
-            fired = True
-    return fired
+    if not np.isfinite(p).all():
+        return False
+    vals, vecs = np.linalg.eigh(p)
+    floors = np.maximum(vals.max(-1), 1e-30) * 1e-12
+    for r in np.flatnonzero(vals.min(-1) < floors):
+        floored_vals = np.maximum(vals[r], floors[r])
+        floored = vecs[r] @ np.diag(floored_vals) @ vecs[r].T
+        sym[r] = (floored + floored.T) / 2
+        counts[r] += 1
+    return True
 
 
 def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
@@ -201,11 +184,12 @@ def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
     every harmonic block (``harmonic_cos``, one column per harmonic)
     and ``recondition_count``, the number of times the eigenvalue floor
     fired.  The floor is tested by one stacked Cholesky call per block
-    of steps; only a block that fails it runs again with a gate per
-    step, and only a gate whose Cholesky test fails runs ``eigh``.  The
-    outputs match the per-sample loop as first written within 1e-10 of
-    each one's largest magnitude, with an equal count (a tolerance the
-    tests pin), not bit for bit.
+    of steps; only a block that fails it runs again, with the floor's
+    ``eigh`` at every step.  The outputs match the per-sample loop as
+    first written within 1e-10 of each one's largest magnitude, with an
+    equal count (a tolerance the tests pin), not bit for bit.  Raises
+    :class:`EstimatorError` if the state runs away (see
+    :func:`gp_estimate_batch`).
     """
     return gp_estimate_batch(times_s, [z], cfg)[0]
 
@@ -218,8 +202,11 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     that row alone gives: every product is one BLAS call per matrix or
     vector, as on a single row, and every other operation is element
     by element.  A block of steps that one row's floor test fails runs
-    again for all rows, which changes nothing for a row whose gates
-    pass.
+    again for all rows, which changes nothing for a row whose floor
+    would not fire.  If any row's covariance at a floored step, or its
+    mean or f_hat at any step, is not finite, the state ran away:
+    :class:`EstimatorError` names the time of the first such step.  It
+    is the only report; floating-point warnings are suppressed.
     """
     times_s, z = check_rows(times_s, rows)
     n_rows, n = z.shape
@@ -280,12 +267,23 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     # the priors, then the posteriors, of the steps of one block
     cov = np.empty((2, min(n, _BLOCK_STEPS), n_rows, dim, dim))
 
+    def runaway(k):
+        """The error for a state that ran away by step ``k``: it names
+        the first step whose mean or f_hat is not finite, else ``k``."""
+        mean = history[:, :k + 1]
+        bad = ~(np.isfinite(mean).all(-1)
+                & np.isfinite(np.exp(mean[..., 0]))).all(0)
+        first = bad.argmax() if bad.any() else k
+        return EstimatorError(f"gp: the tracker state ran away (not finite) "
+                              f"at t = {times_s[first]:.6g} s")
+
     def run_block(start, p, block, gated):
         """Run the steps of one block from step ``start``, where ``p`` is
         the covariance of the step before (the initial one at step 0).
         Each step writes its prior and posterior into the next matrices
         of ``block``.  Gated, each step floors both (:func:`_recondition`)
-        as it goes; otherwise nothing is tested."""
+        as it goes, and raises if either is not finite; otherwise nothing
+        is tested."""
         for k, prior, post in zip(range(start, n), *block):
             m = history[:, k]
             if k == 0:
@@ -322,41 +320,36 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
                 np.add(q_diag, noise[k - 1], out=q_diag)
                 np.add(q, q.mT, out=prior)
                 prior /= 2
-            if gated:
-                # the shift of this step's gates; the floor changes the
-                # trace
-                shift = _gate_shift(_diagonal(prior), eye)
-                if k > 0 and _recondition(q, prior, shift, counts):
-                    shift = _gate_shift(_diagonal(prior), eye)
+            if gated and k > 0 and not _recondition(q, prior, counts):
+                raise runaway(k)
 
             # Each posterior entry (ph_i * ph_j) / s equals its transpose,
-            # so it stays exactly symmetric; each diagonal entry
-            # p_ii - ph_i**2 / s is never above the prior's, so the
-            # prior's shift still proves the floor.
+            # so it stays exactly symmetric.
             ph = np.matvec(prior, h_row)
             s = np.vecdot(ph, h_row) + cfg.meas_var
             m += ph * ((zt[k] - np.vecdot(m, h_row)) / s)[:, None]
             update = ph[:, :, None] * ph[:, None]
             update /= s[:, None, None]
             np.subtract(prior, update, out=post)
-            if gated:
-                _recondition(post, post, shift, counts)
+            if gated and not _recondition(post, post, counts):
+                raise runaway(k)
             p = post
 
-    # Each block of steps runs once without gates.  If every prior and
-    # posterior it leaves passes the stacked test of its step's gates,
-    # no gate would have fired, and a gate that does not fire changes
-    # nothing.  Otherwise the block runs again, gated, from the state
-    # before it; only that run can floor, and only it warns.
-    for start in range(0, n, _BLOCK_STEPS):
-        block = cov[:, :n - start]
-        with np.errstate(all="ignore"):
+    # Each block of steps runs once without the floor.  If every prior
+    # and posterior it leaves passes the stacked test, no floor would
+    # have fired, and a floor that does not fire changes nothing.
+    # Otherwise the block runs again, gated, from the state before it;
+    # only that run can floor.
+    with np.errstate(all="ignore"):
+        for start in range(0, n, _BLOCK_STEPS):
+            block = cov[:, :n - start]
             run_block(start, p, block, gated=False)
-        if not _block_passes(block, eye):
-            run_block(start, p, block, gated=True)
-        p = block[1, -1].copy()
-
-    f_hat = np.exp(history[:, :, 0])
+            if not _block_passes(block, eye):
+                run_block(start, p, block, gated=True)
+            p = block[1, -1].copy()
+        f_hat = np.exp(history[:, :, 0])
+        if not (np.isfinite(f_hat).all() and np.isfinite(history).all()):
+            raise runaway(n - 1)
     recon = np.vecdot(history, h_row)
     return [EstimateSeries(
         method="gp", times_s=times_s.copy(), f_hat_hz=f_hat[r],

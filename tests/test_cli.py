@@ -415,3 +415,29 @@ def test_evaluate_rejects_a_rate_that_is_not_finite_or_is_negative(
     assert "--true-freq-hz must be finite and non-negative" in err
     assert not out.exists()
     assert not (tmp_path / "metrics.json.manifest.json").exists()
+
+
+def test_gp_runaway_exits_2_and_writes_nothing(tmp_path, capsys):
+    # one sample of 1e50 drives gp's state to non-finite values; dft and
+    # kf still give finite rates on the same trace
+    trace = simulate(tmp_path, extra=("--set", "duration_s=40"))
+    lines = trace.read_text().splitlines()
+    fields = lines[100].split(",")
+    fields[2] = "1e50"
+    lines[100] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "est.csv"
+    capsys.readouterr()
+    assert run(["estimate", "--trace", str(trace), "--method", "all",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: gp: the tracker state ran away (not finite) at "
+                   "t = 0.064 s\n")
+    assert not out.exists()
+    assert not (tmp_path / "est.csv.manifest.json").exists()
+    for method in ("dft", "kf"):
+        assert run(["estimate", "--trace", str(trace), "--method", method,
+                    "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert {row[1] for row in rows} == {method}
+        assert np.isfinite([float(row[2]) for row in rows]).all()

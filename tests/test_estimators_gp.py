@@ -15,8 +15,7 @@ from rssb.estimators import (EstimatorError, GpConfig, KfConfig, gp_estimate,
                              gp_estimate_batch, kernel_cosine_weights,
                              kf_estimate)
 from rssb.estimators import gp as gp_module
-from rssb.estimators.gp import (_block_passes, _gate_shift, _recondition,
-                                _sigma_weights)
+from rssb.estimators.gp import _block_passes, _recondition, _sigma_weights
 from rssb.presets import bed_scenario
 from rssb.simulator import synthesize
 
@@ -348,8 +347,7 @@ def gate_as_gp_calls_it(p, counts):
     does; returns the result."""
     sym = p + p.mT
     sym /= 2
-    diag = np.diagonal(sym, axis1=1, axis2=2)
-    _recondition(p, sym, _gate_shift(diag, np.eye(p.shape[-1])), counts)
+    _recondition(p, sym, counts)
     return sym
 
 
@@ -454,10 +452,9 @@ def test_passing_block_check_means_no_gate_fires(dim, draws):
     if not _block_passes(cov, np.eye(dim)):
         return
     for prior, posterior in zip(sym, post):
-        shift = _gate_shift(np.diagonal(prior)[None], np.eye(dim))
         for mat in (prior, posterior):
             got, counts = mat[None].copy(), [3]
-            assert not _recondition(mat[None], got, shift, counts)
+            _recondition(mat[None], got, counts)
             assert counts == [3]
             assert np.array_equal(got[0], mat)
 
@@ -516,43 +513,38 @@ def test_mixed_floor_batch_equals_single_runs(monkeypatch):
 
 
 def runaway_input(kind):
-    """Heavy-tailed noise, or a sine with one spike at the last step of
-    block 1: the next step's exp(log-frequency) overflows, so block 2 is
-    non-finite while its Cholesky call raises no error."""
+    """Heavy-tailed noise, or a sine with one spike: 1e50 at the last step
+    of block 1, whose rate overflows while every covariance of the block
+    stays finite, or 1e100 at step 200."""
     t = np.arange(625 if kind == "cauchy" else 300) / FS
     if kind == "cauchy":
         return t, np.random.default_rng(0).standard_cauchy(625) * 1e3
     z = np.sin(2 * np.pi * 0.25 * t)
-    z[255] = 1e50
+    index, value = {"spike": (255, 1e50), "huge-spike": (200, 1e100)}[kind]
+    z[index] = value
     return t, z
 
 
-@pytest.mark.parametrize("kind", ["cauchy", "spike"])
-def test_runaway_warns_as_the_gated_steps_do(monkeypatch, kind):
-    # the log-frequency overflows; the ungated pass is silent, so the
-    # warnings are those of the gated replay alone
+@pytest.mark.parametrize("kind", ["cauchy", "spike", "huge-spike"])
+def test_runaway_raises_at_the_first_bad_step(monkeypatch, kind):
+    # the state turns non-finite: gp raises, naming the time of the first
+    # step whose rate or mean is not finite, and no warning escapes.  The
+    # blocks of a run stand as checked (None), or are all replayed with
+    # the floor (False), or all stand unfloored (True).  The floor fires
+    # on the cauchy input from step 2, so unfloored it runs away on
+    # another path, later.
     t, z = runaway_input(kind)
-
-    def run():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            series = gp_estimate(t, z)
-        return series, {str(w.message) for w in caught}
-
-    got, messages = run()
-    replayed_blocks(monkeypatch, passes=False)
-    want, want_messages = run()
-    # with every block standing, only f_hat = exp(log-frequency), taken
-    # after the steps, may warn
-    replayed_blocks(monkeypatch, passes=True)
-    assert run()[1] <= {"overflow encountered in exp"}
-    assert messages == want_messages
-    assert {"overflow encountered in exp",
-            "invalid value encountered in cos"} <= messages
-    assert not np.isfinite(got.f_hat_hz).all()
-    assert np.array_equal(got.f_hat_hz, want.f_hat_hz, equal_nan=True)
-    for key in AUX_KEYS:
-        assert np.array_equal(got.aux[key], want.aux[key], equal_nan=True)
+    when = {"cauchy": {None: 0.288, False: 0.288, True: 1.568},
+            "spike": dict.fromkeys([None, False, True], 8.16),
+            "huge-spike": dict.fromkeys([None, False, True], 6.432)}[kind]
+    for passes, t_s in when.items():
+        replayed_blocks(monkeypatch, passes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimatorError) as caught:
+                gp_estimate(t, z)
+        assert str(caught.value) == (
+            f"gp: the tracker state ran away (not finite) at t = {t_s} s")
 
 
 @cache
