@@ -30,9 +30,9 @@ shift.  If all pass, no floor would have fired and the block stands.
 Otherwise it runs again from the state before it, with the floor of
 :func:`_recondition` (one stacked ``eigh``) at every step, so outputs
 are those of flooring every step.  A state that runs away, a
-covariance or rate that is not finite, raises :class:`EstimatorError`
-naming the time of the first bad step; no floating-point warning is
-reported.
+covariance or rate that is not finite or a rate that underflows to 0,
+raises :class:`EstimatorError` naming the time of the first bad step;
+no floating-point warning is reported.
 
 :func:`gp_estimate_batch` steps any number of streams sampled at the
 same times in lockstep, on stacked means and covariances, each row bit
@@ -204,9 +204,10 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     by element.  A block of steps that one row's floor test fails runs
     again for all rows, which changes nothing for a row whose floor
     would not fire.  If any row's covariance at a floored step, or its
-    mean or f_hat at any step, is not finite, the state ran away:
-    :class:`EstimatorError` names the time of the first such step.  It
-    is the only report; floating-point warnings are suppressed.
+    mean or f_hat at any step, is not finite, or an f_hat underflows to
+    0, the state ran away: :class:`EstimatorError` names the time of the
+    first such step.  It is the only report; floating-point warnings are
+    suppressed.
     """
     times_s, z = check_rows(times_s, rows)
     n_rows, n = z.shape
@@ -269,12 +270,15 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
 
     def runaway(k):
         """The error for a state that ran away by step ``k``: it names
-        the first step whose mean or f_hat is not finite, else ``k``."""
+        the first step whose mean or f_hat is not finite, or whose f_hat
+        underflowed to 0, else ``k``."""
         mean = history[:, :k + 1]
-        bad = ~(np.isfinite(mean).all(-1)
-                & np.isfinite(np.exp(mean[..., 0]))).all(0)
+        f_hat = np.exp(mean[..., 0])
+        finite = np.isfinite(mean).all(-1) & np.isfinite(f_hat)
+        bad = ~(finite & (f_hat > 0)).all(0)
         first = bad.argmax() if bad.any() else k
-        return EstimatorError(f"gp: the tracker state ran away (not finite) "
+        why = "not finite" if not finite[:, first].all() else "a rate of 0"
+        return EstimatorError(f"gp: the tracker state ran away ({why}) "
                               f"at t = {times_s[first]:.6g} s")
 
     def run_block(start, p, block, gated):
@@ -348,7 +352,8 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
                 run_block(start, p, block, gated=True)
             p = block[1, -1].copy()
         f_hat = np.exp(history[:, :, 0])
-        if not (np.isfinite(f_hat).all() and np.isfinite(history).all()):
+        if not ((f_hat > 0).all() and np.isfinite(f_hat).all()
+                and np.isfinite(history).all()):
             raise runaway(n - 1)
     recon = np.vecdot(history, h_row)
     return [EstimateSeries(

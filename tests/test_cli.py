@@ -264,6 +264,22 @@ def test_bad_settings_exit_2_with_one_line(tmp_path, capsys, argv, names):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["filter.stopband_atten_db=1e-300",
+                                     "filter.passband_ripple_db=1e300"])
+def test_estimate_exits_2_on_a_filter_it_cannot_design(tmp_path, capsys,
+                                                       setting):
+    trace = simulate(tmp_path, extra=("--set", "duration_s=20"))
+    capsys.readouterr()
+    out = tmp_path / "est.csv"
+    assert run(["estimate", "--trace", str(trace), "--method", "dft",
+                "--set", setting, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: FilterSpec(order=5, ")
+    field, value = setting.removeprefix("filter.").split("=")
+    assert f"{field}={float(value)!r}" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_estimate_manifest_config_reproduces_estimates(tmp_path):
     trace = simulate(tmp_path, extra=("--set", "drop_prob=0.1"))
     first = tmp_path / "first.csv"
