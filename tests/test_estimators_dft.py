@@ -113,6 +113,15 @@ def test_insufficient_data_is_an_error():
         dft_estimate(t, y)
 
 
+def test_scale_invariance():
+    t, y = tone(0.3, 40.0)
+    rng = np.random.default_rng(2)
+    y = y + rng.normal(0, 0.5, len(y))
+    a = dft_estimate(t, y, DftConfig(hop_samples=100))
+    b = dft_estimate(t, 37.5 * y, DftConfig(hop_samples=100))
+    assert np.array_equal(a.f_hat_hz, b.f_hat_hz)
+
+
 def test_uneven_sampling_is_rejected():
     t, y = tone(0.25, 40.0)
     t = np.delete(t, 100)
