@@ -40,6 +40,19 @@ for bit as it runs alone; :func:`gp_estimate` is the batch of one.  It
 matches the per-sample loop as first written within 1e-10 of each
 output's largest magnitude, with equal floor counts (a tolerance the
 tests pin), not bit for bit.
+
+A step of a few rows costs numpy's fixed cost per call, not arithmetic,
+so a call allocates every work array of a step once, with every view a
+step takes of it, and each step writes each numpy call into one with
+``out=``.  Calls on whole arrays of one shape are the cheapest, so the
+step's terms that change with the time delta are precomputed in the
+shapes that keep them so: a shift of the whole mean for the drift of
+the log-frequency, each harmonic's angle once per diagonal entry of
+its rotation, and per block the process noise on the diagonals of
+whole matrices.  Arrays that are added whole in place of a block or a
+diagonal hold -0.0 elsewhere, and x + -0.0 is x, so the operands and
+order of every operation, and so every output, are those of the step
+written with temporaries.
 """
 
 import math
@@ -127,24 +140,27 @@ def _diagonal(x):
     return x.reshape(*x.shape[:-2], -1)[..., ::x.shape[-1] + 1]
 
 
-def _block_passes(cov, eye):
+def _block_passes(cov):
     """Whether no floor of :func:`_recondition` would fire in a block.
 
     ``cov`` holds the block's symmetric priors, then its posteriors,
-    shape ``(2, steps, rows, d, d)``; ``eye`` is the identity of size d.
-    All must be finite (numpy's factorization does not reject NaN), and
-    each minus 2e-12 times the trace of its step's prior must have a
-    Cholesky factor.  The trace bounds the largest eigenvalue of a PSD
-    matrix, and a posterior's diagonal is never above its prior's, so a
-    factor proves the smallest eigenvalue above twice the floor: a
-    matrix near the test's edge does not fire either way.
+    shape ``(2, steps, rows, d, d)``.  All must be finite (numpy's
+    factorization does not reject NaN), and each minus 2e-12 times the
+    trace of its step's prior must have a Cholesky factor.  The trace
+    bounds the largest eigenvalue of a PSD matrix, and a posterior's
+    diagonal is never above its prior's, so a factor proves the smallest
+    eigenvalue above twice the floor: a matrix near the test's edge does
+    not fire either way.  The shift is subtracted from the diagonals of
+    a copy only, which leaves the entries off them as they are.
     """
     if not np.isfinite(cov).all():
         return False
-    shift = np.multiply.outer(
-        2e-12 * np.maximum(_diagonal(cov[0]).sum(-1), 1e-30), eye)
+    shifted = cov.copy()
+    diagonals = _diagonal(shifted)
+    diagonals -= 2e-12 * np.maximum(_diagonal(cov[0]).sum(-1, keepdims=True),
+                                    1e-30)
     try:
-        np.linalg.cholesky(cov - shift)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -221,7 +237,7 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     q0, qn = kernel_cosine_weights(cfg.kernel_var, cfg.lengthscale, nh)
     gamma, wm, wc = _sigma_weights(cfg)
     sigma_offsets = gamma * np.array([0.0, 1.0, -1.0])
-    wm_stack = wm[:, None, None]
+    meas_var = cfg.meas_var
 
     h_row = np.zeros(dim)
     h_row[1] = 1.0
@@ -230,114 +246,191 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     # kernel_var * 100 is exactly 1.0 at the default 0.01
     harm_var = [cfg.kernel_var * 100 / (2.0 ** j * math.factorial(j))
                 for j in harmonics]
-    # p holds the symmetric covariance after each step, q the predicted
-    # one before it is symmetrized
+    # p holds the covariance the next block starts from
     p = np.tile(np.diag(np.r_[cfg.init_log_freq_var, cfg.init_dc_var,
                               np.repeat(harm_var, 2)]), (n_rows, 1, 1))
-    q = np.empty_like(p)
-    q_diag = _diagonal(q)
-    eye = np.eye(dim)
 
-    # per-step terms of the dynamics, one row per time delta: the drift
-    # of the log-frequency, the angle per Hz of each harmonic, and the
-    # process noise of the whole diagonal
-    dts = np.diff(times_s)[:, None]
-    log_freq_drift = 0.5 * cfg.freq_drift ** 2 * dts
-    angle_per_hz = 2 * np.pi * dts * harmonics
+    # per-step terms of the dynamics, row k for the step into sample k
+    # (row 0 is not used): a shift of the whole mean, the drift of the
+    # log-frequency and 0 beyond it, so that m - shift passes the linear
+    # mean through exactly; the angle per Hz of each harmonic, twice, one
+    # per diagonal entry of its rotation; the process noise of the whole
+    # diagonal
+    dts = np.diff(times_s, prepend=times_s[0])[:, None]
+    shift = np.zeros((n, dim))
+    shift[:, :1] = 0.5 * cfg.freq_drift ** 2 * dts
+    angle_per_hz = np.repeat(2 * np.pi * dts * harmonics, 2, axis=1)
     noise = dts * np.r_[cfg.freq_drift, 2 * q0, 2 * np.repeat(qn, 2)]
 
-    # linear dynamics per row and sigma point: identity DC, then a
+    # linear dynamics per sigma point and row: identity DC, then a
     # rotation by 2*pi*n*f*dt per harmonic, written through strided
     # views of the flattened blocks at (row, col) for j = 1, 3, ...
-    a = np.tile(np.eye(lin_dim), (n_rows, 3, 1, 1))
-    blocks = a.reshape(n_rows, 3, -1)
+    a = np.tile(np.eye(lin_dim), (3, n_rows, 1, 1))
+    blocks = a.reshape(3, n_rows, -1)
     step = 2 * (lin_dim + 1)
-    cos_jj = blocks[..., lin_dim + 1::lin_dim + 1].reshape(
-        n_rows, 3, nh, 2)                        # cos at (j, j), (j+1, j+1)
-    sin_lo = blocks[..., 2 * lin_dim + 1::step]  # sin at (j+1, j)
-    sin_up = blocks[..., lin_dim + 2::step]      # -sin at (j, j+1)
+    cos_jj = blocks[..., lin_dim + 1::lin_dim + 1]  # cos at every (j, j)
+    sin_lo = blocks[..., 2 * lin_dim + 1::step]     # sin at (j+1, j)
+    sin_up = blocks[..., lin_dim + 2::step]         # -sin at (j, j+1)
 
-    # sigma points [log-frequency; linear mean] per row
-    u = np.empty((n_rows, 3, dim))
-    # the mean of step k is history[:, k]; step 0 starts from m_init
-    history = np.empty((n_rows, n, dim))
+    # Every work array of a step, allocated once, and every view a step
+    # takes of one: each numpy call of a step writes into one with out=.
+    # The arithmetic, its operands and their order are in the comments of
+    # run_block.  Arrays that are added whole, rather than through a
+    # view of their linear block or diagonal, hold -0.0 where they add
+    # nothing: x + -0.0 is x for every x.
+    u = np.empty((n_rows, 3, dim))  # sigma points [log-frequency; mean]
+    u_freq, u_lin, u_t = u[..., 0], u[..., 1:], u.mT
+    v = np.empty((n_rows, 3, dim))  # u before the rotation
+    v_freq, v_lin = v[..., 0], v[..., 1:]
+    first_row = np.empty((n_rows, dim))
+    first_col, first_row_b = first_row[..., None], first_row[:, None]
+    std = np.empty((n_rows, 1))
+    spread = np.empty((n_rows, 3))
+    spread_col = spread[..., None]
+    centre = np.empty((n_rows, dim))
+    centre_b = centre[:, None]
+    rate = np.empty((n_rows, 3))
+    rate_t = rate.T[..., None]
+    theta = np.empty((3, n_rows, 2 * nh))
+    theta_once = theta[..., ::2]
+    cond = np.empty_like(p)  # pl_cond in its linear block
+    pl_cond = cond[:, 1:, 1:]
+    a_rows, a_t = a.transpose(1, 0, 2, 3), a.mT
+    wm_branch = wm[:, None, None, None]
+    a_wm, a_pl = np.empty_like(a), np.empty_like(a)
+    branch_cov = np.full((3, n_rows, dim, dim), -0.0)
+    branch_cov_lin = branch_cov[..., 1:, 1:]
+    branch_cov_0, branch_cov_1, branch_cov_2 = branch_cov
+    rot_cov = np.empty_like(p)
+    u_wc = np.empty((n_rows, 3, dim)).mT  # laid out as u.mT * wc would be
+    q = np.empty_like(p)  # the prior before it is symmetrized
+    q_t = q.mT
+    ph = np.empty((n_rows, dim))
+    ph_col, ph_row = ph[:, :, None], ph[:, None]
+    s = np.empty(n_rows)
+    s_b = s[:, None, None]
+    innov = np.empty(n_rows)
+    innov_col = innov[:, None]
+    gain_step = np.empty((n_rows, dim))
+    update = np.empty_like(p)
+
+    # the means of step k are history[k]; step 0 starts from m_init
+    history = np.empty((n, n_rows, dim))
     m_init = np.zeros((n_rows, dim))
     m_init[:, 0] = cfg.init_log_freq
     m_init[:, 1] = z[:, 0]
     counts = [0] * n_rows
-    # the priors, then the posteriors, of the steps of one block
+    # the priors, then the posteriors, of the steps of one block, and
+    # the process noise of each step of the block on the diagonal
     cov = np.empty((2, min(n, _BLOCK_STEPS), n_rows, dim, dim))
+    block_noise = np.full(cov.shape[1:], -0.0)
+    block_noise_diag = _diagonal(block_noise)
+
+    def starts_from(c):
+        """The views a step takes of the covariance ``c`` it starts from:
+        ``c``, its first row, its log-frequency variance, and its first
+        row broadcast over rows."""
+        return c, c[:, 0], c[:, 0, :1], c[:, :1]
+
+    # per slot of a block: its prior, its posterior, its noise, and the
+    # views of the covariance it starts from (p for the first slot, else
+    # the posterior of the slot before)
+    slots = [(prior, post, step_noise,
+              starts_from(p if i == 0 else cov[1, i - 1]))
+             for i, (prior, post, step_noise)
+             in enumerate(zip(*cov, block_noise))]
 
     def runaway(k):
         """The error for a state that ran away by step ``k``: it names
         the first step whose mean or f_hat is not finite, or whose f_hat
         underflowed to 0, else ``k``."""
-        mean = history[:, :k + 1]
+        mean = history[:k + 1]
         f_hat = np.exp(mean[..., 0])
         finite = np.isfinite(mean).all(-1) & np.isfinite(f_hat)
-        bad = ~(finite & (f_hat > 0)).all(0)
+        bad = ~(finite & (f_hat > 0)).all(1)
         first = bad.argmax() if bad.any() else k
-        why = "not finite" if not finite[:, first].all() else "a rate of 0"
+        why = "not finite" if not finite[first].all() else "a rate of 0"
         return EstimatorError(f"gp: the tracker state ran away ({why}) "
                               f"at t = {times_s[first]:.6g} s")
 
-    def run_block(start, p, block, gated):
-        """Run the steps of one block from step ``start``, where ``p`` is
-        the covariance of the step before (the initial one at step 0).
-        Each step writes its prior and posterior into the next matrices
-        of ``block``.  Gated, each step floors both (:func:`_recondition`)
-        as it goes, and raises if either is not finite; otherwise nothing
-        is tested."""
-        for k, prior, post in zip(range(start, n), *block):
-            m = history[:, k]
+    def run_block(start, gated):
+        """Run the steps of one block from step ``start``, from the state
+        of the step before (p and history[start - 1]).  Each step
+        writes its prior and posterior into its slot of ``cov``.  Gated,
+        each step floors both (:func:`_recondition`) as it goes, and
+        raises if either is not finite; otherwise nothing is tested."""
+        m = history[start - 1]
+        for k, (prior, post, step_noise, (prev, row0, pss, row0_b)), \
+                z_k, shift_k, angle_k in zip(range(start, n), slots,
+                                             zt[start:], shift[start:],
+                                             angle_per_hz[start:]):
+            m_prev, m = m, history[k]
             if k == 0:
                 m[...] = m_init
                 prior[...] = p
             else:
                 # Condition the linear substate on sigma points of the
                 # log-frequency, propagate each branch, then re-merge
-                # moments.
-                m_prev = history[:, k - 1]
-                pss = p[:, 0, :1]
-                psl = p[:, 0, 1:]
-                slope = psl / pss
-                pl_cond = p[:, 1:, 1:] - slope[:, :, None] * psl[:, None]
-                offsets = np.sqrt(pss) * sigma_offsets
-                np.add(m_prev[:, :1] - log_freq_drift[k - 1], offsets,
-                       out=u[..., 0])
-
-                theta = np.exp(u[..., 0])[..., None] * angle_per_hz[k - 1]
-                cos_jj[...] = np.cos(theta)[..., None]
-                np.sin(theta, out=sin_lo)
+                # moments.  first_row = [1, slope], slope = psl / pss,
+                # and pl_cond = pll - slope[:, :, None] * psl.
+                np.divide(row0, pss, out=first_row)
+                np.multiply(first_col, row0_b, out=cond)
+                np.subtract(prev, cond, out=cond)
+                # v = (m_prev - shift) + (sqrt(pss) * sigma_offsets) *
+                # first_row; u is v with the linear part of each branch
+                # rotated by its dynamics
+                np.sqrt(pss, out=std)
+                np.multiply(std, sigma_offsets, out=spread)
+                np.subtract(m_prev, shift_k, out=centre)
+                np.multiply(spread_col, first_row_b, out=v)
+                np.add(centre_b, v, out=v)
+                # theta = exp(v[..., 0]) * angle per Hz
+                np.exp(v_freq, out=rate)
+                np.multiply(rate_t, angle_k, out=theta)
+                np.cos(theta, out=cos_jj)
+                np.sin(theta_once, out=sin_lo)
                 np.negative(sin_lo, out=sin_up)
-                np.matvec(a, m_prev[:, None, 1:]
-                          + slope[:, None] * offsets[..., None],
-                          out=u[..., 1:])
-                rot_cov = ((a * wm_stack) @ pl_cond[:, None] @ a.mT).sum(1)
+                np.copyto(u_freq, v_freq)
+                np.matvec(a_rows, v_lin, out=u_lin)
+                # rot_cov = sum over branches, in order, of
+                # (a * wm) @ pl_cond @ a.mT
+                np.multiply(a, wm_branch, out=a_wm)
+                np.matmul(a_wm, pl_cond, out=a_pl)
+                np.matmul(a_pl, a_t, out=branch_cov_lin)
+                np.add(branch_cov_0, branch_cov_1, out=rot_cov)
+                np.add(rot_cov, branch_cov_2, out=rot_cov)
 
                 # unscented moments: mean sum_j wm u_j, covariance
-                # sum_j wc (u_j - mean)(u_j - mean)' plus the branch spread
+                # sum_j wc (u_j - mean)(u_j - mean)' plus the branch
+                # spread, plus the noise, then symmetrized: (q + q.mT) / 2
                 np.vecmat(wm, u, out=m)
                 np.subtract(u, m[:, None], out=u)
-                np.matmul(u.mT * wc, u, out=q)
-                q[:, 1:, 1:] += rot_cov
-                np.add(q_diag, noise[k - 1], out=q_diag)
-                np.add(q, q.mT, out=prior)
-                prior /= 2
+                np.multiply(u_t, wc, out=u_wc)
+                np.matmul(u_wc, u, out=q)
+                np.add(q, rot_cov, out=q)
+                np.add(q, step_noise, out=q)
+                np.add(q, q_t, out=prior)
+                np.divide(prior, 2.0, out=prior)
             if gated and k > 0 and not _recondition(q, prior, counts):
                 raise runaway(k)
 
             # Each posterior entry (ph_i * ph_j) / s equals its transpose,
-            # so it stays exactly symmetric.
-            ph = np.matvec(prior, h_row)
-            s = np.vecdot(ph, h_row) + cfg.meas_var
-            m += ph * ((zt[k] - np.vecdot(m, h_row)) / s)[:, None]
-            update = ph[:, :, None] * ph[:, None]
-            update /= s[:, None, None]
+            # so it stays exactly symmetric.  ph = prior h,
+            # s = h ph + meas_var, m += ph * ((z - h m) / s) and
+            # post = prior - (ph ph') / s.
+            np.matvec(prior, h_row, out=ph)
+            np.vecdot(ph, h_row, out=s)
+            np.add(s, meas_var, out=s)
+            np.vecdot(m, h_row, out=innov)
+            np.subtract(z_k, innov, out=innov)
+            np.divide(innov, s, out=innov)
+            np.multiply(ph, innov_col, out=gain_step)
+            np.add(m, gain_step, out=m)
+            np.multiply(ph_col, ph_row, out=update)
+            np.divide(update, s_b, out=update)
             np.subtract(prior, update, out=post)
             if gated and not _recondition(post, post, counts):
                 raise runaway(k)
-            p = post
 
     # Each block of steps runs once without the floor.  If every prior
     # and posterior it leaves passes the stacked test, no floor would
@@ -347,19 +440,22 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     with np.errstate(all="ignore"):
         for start in range(0, n, _BLOCK_STEPS):
             block = cov[:, :n - start]
-            run_block(start, p, block, gated=False)
-            if not _block_passes(block, eye):
-                run_block(start, p, block, gated=True)
-            p = block[1, -1].copy()
-        f_hat = np.exp(history[:, :, 0])
+            block_noise_diag[:block.shape[1]] = noise[
+                start:start + _BLOCK_STEPS, None]
+            run_block(start, gated=False)
+            if not _block_passes(block):
+                run_block(start, gated=True)
+            np.copyto(p, block[1, -1])
+        f_hat = np.exp(history[..., 0].T, out=np.empty((n_rows, n)))
         if not ((f_hat > 0).all() and np.isfinite(f_hat).all()
                 and np.isfinite(history).all()):
             raise runaway(n - 1)
-    recon = np.vecdot(history, h_row)
+    means = history.transpose(1, 0, 2)  # one row per stream
+    recon = np.vecdot(means, h_row, out=np.empty((n_rows, n)))
     return [EstimateSeries(
         method="gp", times_s=times_s.copy(), f_hat_hz=f_hat[r],
-        aux={"recon": recon[r], "dc": history[r, :, 1].copy(),
-             "harmonic_cos": history[r, :, 2::2].copy(),
+        aux={"recon": recon[r], "dc": means[r, :, 1].copy(),
+             "harmonic_cos": means[r, :, 2::2].copy(),
              "recondition_count": counts[r],
-             "final_state": history[r, -1].copy(), "final_cov": p[r].copy()},
+             "final_state": means[r, -1].copy(), "final_cov": p[r].copy()},
     ) for r in range(n_rows)]

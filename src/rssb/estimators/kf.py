@@ -5,7 +5,10 @@ coefficient pair per grid frequency, all following independent random
 walks.  The observation row is built from the actual sample timestamps,
 so unevenly spaced or missing samples need no special handling.  The
 rate estimate is the grid frequency whose coefficient pair currently
-has the largest amplitude.
+has the largest amplitude.  Bins are scored by their squared amplitude,
+and ``hypot`` is taken at the peak only (and over the bins of a state
+whose squares tie or nearly tie), which gives the bin and amplitude of
+an argmax over ``hypot`` bit for bit (:func:`_peaks`).
 
 The covariance and gain recursion depends only on the timestamps and
 the config, never on ``z``.  It keeps the covariance as one lower
@@ -29,8 +32,8 @@ from ..dsp import is_uniform
 from .common import EstimateSeries, EstimatorError, check_rows
 
 # Steps handled a block at a time: observation rows are built, gains
-# computed and the state history scored (hypot, argmax, recon) per
-# block.  Large enough that numpy's per-call cost vanishes, small enough
+# computed and the state history scored (squared amplitudes, argmax,
+# hypot at the peak, recon) per block.  Large enough that numpy's per-call cost vanishes, small enough
 # that 32 rows of history stay near 5 MB.
 _BLOCK_STEPS = 128
 
@@ -119,10 +122,9 @@ def kf_estimate_batch(times_s, rows, cfg: KfConfig = KfConfig()):
             x += (z[:, k] - np.vecdot(x, g))[:, None] * gain
             history[:, k - start] = x
         states = history[:, :len(g_block)]
-        amps = np.hypot(states[..., 1:nb + 1], states[..., nb + 1:])
-        # argmax takes the first max: the lower f wins
-        f_hat[:, block] = grid[np.argmax(amps, axis=2)]
-        peak_amp[:, block] = amps.max(axis=2)
+        best, peak_amp[:, block] = _peaks(states[..., 1:nb + 1],
+                                          states[..., nb + 1:])
+        f_hat[:, block] = grid[best]
         recon[:, block] = np.vecdot(states, g_block)
         dc[:, block] = states[..., 0]
         start = block.stop
@@ -135,6 +137,39 @@ def kf_estimate_batch(times_s, rows, cfg: KfConfig = KfConfig()):
              "final_amplitudes": np.hypot(x[r, 1:nb + 1], x[r, nb + 1:]),
              "final_state": x[r], "final_cov": final_cov},
     ) for r in range(n_rows)]
+
+
+def _peaks(sin, cos):
+    """The bin and amplitude of each state's largest coefficient pair.
+
+    ``sin`` and ``cos`` hold the pairs, bins on the last axis.  Returns
+    what ``np.argmax`` and ``max`` over ``np.hypot(sin, cos)`` give, bit
+    for bit (argmax takes the first max: the lower f wins), but scores
+    the bins by their squared amplitude, two squares and an add, and
+    takes ``hypot`` at the peak only.  Each square is within a few ulps
+    of the exact one (within 2**-1073 where it underflows) and ``hypot``
+    within one ulp, so a bin whose square is below the edge, (1 - 2**-40)
+    times the largest square less 2**-1070, has a ``hypot`` below the
+    peak's.  A largest square that overflows counts as the largest
+    finite double, and the overflow raises no warning.  Where more than
+    one bin reaches the edge (a tie or near-tie), or none does (the state
+    holds NaN), the state's bins are scored by ``hypot`` instead.
+    """
+    with np.errstate(over="ignore"):
+        square = np.multiply(sin, sin)
+        square += np.multiply(cos, cos)
+    best = np.argmax(square, axis=-1)[..., None]
+    largest = np.take_along_axis(square, best, axis=-1)
+    edge = np.minimum(largest, np.finfo(float).max)
+    edge *= 1 - 2.0 ** -40
+    edge -= 2.0 ** -1070
+    near = np.count_nonzero(square >= edge, axis=-1) != 1
+    if near.any():
+        best[near] = np.argmax(np.hypot(sin[near], cos[near]),
+                               axis=-1)[:, None]
+    peak = np.hypot(np.take_along_axis(sin, best, axis=-1),
+                    np.take_along_axis(cos, best, axis=-1))
+    return best[..., 0], peak[..., 0]
 
 
 def _observation_rows(times_s, grid):

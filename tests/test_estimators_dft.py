@@ -17,7 +17,8 @@ from rssb.simulator import synthesize
 
 FS = 31.25
 RATES_HZ = [10.0, 12.5, 15.0, 20.0, 25.0, 30.0, 31.25, 40.0, 50.0, 100.0]
-# psd and recon against the reference, relative to its largest magnitude
+# psd against the reference, relative to its largest magnitude, and
+# each window's recon relative to that window's peak amplitude
 REFERENCE_RTOL = 1e-12
 
 
@@ -25,7 +26,8 @@ def dft_reference(y, cfg, fs=FS):
     """One rfft per window over all bins, as first written, at the
     known rate ``fs`` of the test signals.
 
-    Returns f_hat, recon, the full psd and its frequencies.
+    Returns f_hat, recon, the full psd, its frequencies and each
+    window's peak amplitude 2|X_peak|/nw.
     """
     nw = cfg.window_samples(fs)
     freqs = np.fft.rfftfreq(cfg.n_dft, d=1.0 / fs)
@@ -36,15 +38,16 @@ def dft_reference(y, cfg, fs=FS):
     psd = np.empty((len(starts), len(freqs)))
     f_hat = np.empty(len(starts))
     recon = np.empty(len(starts))
+    amps = np.empty(len(starts))
     for j, s in enumerate(starts):
         spec = np.fft.rfft(y[s:s + nw], cfg.n_dft)
         psd[j] = np.abs(spec) ** 2
         peak = band_idx[np.argmax(psd[j, band_idx])]
         f_hat[j] = freqs[peak]
-        amp = 2 * np.abs(spec[peak]) / nw
+        amps[j] = amp = 2 * np.abs(spec[peak]) / nw
         phase = np.angle(spec[peak])
         recon[j] = amp * np.cos(2 * np.pi * f_hat[j] * (nw - 1) / fs + phase)
-    return f_hat, recon, psd, freqs
+    return f_hat, recon, psd, freqs, amps
 
 
 def windows_per_sum(hop):
@@ -53,9 +56,16 @@ def windows_per_sum(hop):
 
 
 def assert_matches_reference(series, y, cfg, fs=FS):
-    """``f_hat`` and the band's frequencies equal the reference's; psd and
-    recon lie within ``REFERENCE_RTOL`` of its largest magnitude."""
-    f_hat, recon, psd, freqs = dft_reference(y, cfg, fs)
+    """``f_hat`` and the band's frequencies equal the reference's; psd
+    lies within ``REFERENCE_RTOL`` of its largest magnitude, and each
+    window's recon within ``REFERENCE_RTOL`` of that window's peak
+    amplitude.
+
+    The amplitude bounds |recon|, and the rounding of the phase scales
+    with it: a window whose recon sits near a zero of its cosine has an
+    error of the amplitude's size, not of the recon's.
+    """
+    f_hat, recon, psd, freqs, amps = dft_reference(y, cfg, fs)
     band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
     assert np.array_equal(series.f_hat_hz, f_hat)
     assert np.array_equal(series.aux["freq_hz"], freqs[band])
@@ -63,8 +73,8 @@ def assert_matches_reference(series, y, cfg, fs=FS):
     assert series.aux["psd"].shape == psd.shape
     assert (np.max(np.abs(series.aux["psd"] - psd))
             <= REFERENCE_RTOL * np.max(psd))
-    assert (np.max(np.abs(series.aux["recon"] - recon))
-            <= REFERENCE_RTOL * np.max(np.abs(recon)))
+    assert np.all(np.abs(series.aux["recon"] - recon)
+                  <= REFERENCE_RTOL * amps)
 
 
 def tone(freq_hz, duration_s, amp=1.0, phase=0.0):
@@ -206,15 +216,17 @@ def test_matches_per_window_reference(hop):
 
 
 @settings(max_examples=30, deadline=None)
-@given(data=st.data(), fs=st.sampled_from(RATES_HZ), hop=st.integers(1, 40),
+@given(fs=st.sampled_from(RATES_HZ), hop=st.integers(1, 40),
        sums=st.integers(0, 2), past_boundary=st.integers(-2, 2),
-       seed=st.integers(0, 2**32 - 1))
-def test_sliding_sums_match_reference(data, fs, hop, sums, past_boundary,
-                                      seed):
+       seed=st.integers(0, 2**32 - 1), n_dft=st.integers(1000, 3000))
+# one window whose recon (-0.0049) sits near a zero of its cosine, at a
+# peak amplitude of 0.895: off by 1.27e-14, 2.6 times 1e-12 of |recon|
+@example(fs=20.0, hop=1, sums=0, past_boundary=0, seed=448893, n_dft=1357)
+def test_sliding_sums_match_reference(fs, hop, sums, past_boundary, seed,
+                                      n_dft):
     nw = DftConfig().window_samples(fs)
     # DFT lengths that are not powers of two, at least one window long
-    n_dft = data.draw(st.integers(max(1000, nw), max(3000, nw)), "n_dft")
-    cfg = DftConfig(n_dft=n_dft, hop_samples=hop)
+    cfg = DftConfig(n_dft=max(n_dft, nw), hop_samples=hop)
     n_windows = max(1, sums * windows_per_sum(hop) + past_boundary)
     n = nw + (n_windows - 1) * hop
     rng = np.random.default_rng(seed)

@@ -450,7 +450,7 @@ def test_passing_block_check_means_no_gate_fires(dim, draws):
     post = sym - ph[:, :, None] * ph[:, None] / (
         2 * np.vecdot(ph, h_row))[:, None, None]
     cov = np.stack([sym, post])[:, :, None]
-    if not _block_passes(cov, np.eye(dim)):
+    if not _block_passes(cov):
         return
     for prior, posterior in zip(sym, post):
         for mat in (prior, posterior):
@@ -465,8 +465,8 @@ def replayed_blocks(monkeypatch, passes=None):
     record, per checked block, its length and whether it passed."""
     seen = []
 
-    def check(cov, eye):
-        ok = _block_passes(cov, eye) if passes is None else passes
+    def check(cov):
+        ok = _block_passes(cov) if passes is None else passes
         seen.append((cov.shape[1], ok))
         return ok
 

@@ -322,3 +322,65 @@ def test_final_cov_writes_do_not_reach_later_calls(monkeypatch):
     assert all(s.aux["final_cov"] is cov for s in first)  # one per call
     cov[:] = -1.0
     assert_same_outputs(kf_estimate_batch(t, rows), cold)
+
+
+# coefficients of every size: moderate ones, any float (squares that
+# overflow or underflow, infinities, NaN) and signed zeros
+coefficients = st.one_of(st.floats(-10.0, 10.0), st.floats(),
+                         st.sampled_from([0.0, -0.0]))
+
+
+def move_ulps(x, k):
+    """``x`` moved ``k`` representable floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def coefficient_states(draw):
+    """A stack of states of (sin, cos) pairs over one set of bins.
+
+    Each bin after the first is drawn, or ties an earlier bin of its
+    state exactly (the same pair, the pair swapped, or its signs
+    flipped), or nearly (the pair moved a few ulps).  A state may be
+    all zeros.
+    """
+    n_bins = draw(st.integers(1, 8))
+    states = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            states.append([(0.0, 0.0)] * n_bins)
+            continue
+        pairs = [(draw(coefficients), draw(coefficients))]
+        while len(pairs) < n_bins:
+            kind = draw(st.sampled_from(
+                ["draw", "same", "swap", "signs", "ulps"]))
+            s, c = pairs[draw(st.integers(0, len(pairs) - 1))]
+            if kind == "draw":
+                s, c = draw(coefficients), draw(coefficients)
+            elif kind == "swap":
+                s, c = c, s
+            elif kind == "signs":
+                s, c = draw(st.sampled_from([(s, -c), (-s, c), (-s, -c)]))
+            elif kind == "ulps":
+                s = move_ulps(s, draw(st.integers(-4, 4)))
+                c = move_ulps(c, draw(st.integers(-4, 4)))
+            pairs.append((s, c))
+        states.append(pairs)
+    pairs = np.array(states)
+    return pairs[..., 0].copy(), pairs[..., 1].copy()
+
+
+@settings(max_examples=500, deadline=None)
+@given(states=coefficient_states())
+def test_peak_by_squared_amplitude_equals_peak_by_hypot(states):
+    # kf scores its bins by sin**2 + cos**2 and takes hypot at the peak
+    # only: the bin and the amplitude must be those of argmax and max
+    # over hypot, ties to the lower bin, bit for bit
+    sin, cos = states
+    with np.errstate(over="ignore"):  # hypot of pairs near the largest float
+        best, peak = kf_module._peaks(sin, cos)
+        amps = np.hypot(sin, cos)
+    assert np.array_equal(best, np.argmax(amps, axis=-1))
+    assert np.array_equal(peak, amps.max(axis=-1), equal_nan=True)
