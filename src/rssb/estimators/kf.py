@@ -33,8 +33,9 @@ from .common import EstimateSeries, EstimatorError, check_rows
 
 # Steps handled a block at a time: observation rows are built, gains
 # computed and the state history scored (squared amplitudes, argmax,
-# hypot at the peak, recon) per block.  Large enough that numpy's per-call cost vanishes, small enough
-# that 32 rows of history stay near 5 MB.
+# hypot at the peak, recon) per block.  Large enough that numpy's
+# per-call cost vanishes, small enough that 32 rows of history stay near
+# 5 MB.
 _BLOCK_STEPS = 128
 
 # The gains and final covariance of the last drop-free grid, keyed on
