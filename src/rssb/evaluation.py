@@ -182,7 +182,12 @@ def noise_std_for_snr(scenario: ScenarioConfig, snr_db) -> float:
     characterization, this injected quantity is known exactly and stays
     well defined at arbitrarily low values.
     """
-    p_sig = inband_signal_power(scenario)
+    return _noise_std(inband_signal_power(scenario), snr_db)
+
+
+def _noise_std(p_sig, snr_db):
+    """The noise standard deviation of ``snr_db`` below the in-band
+    signal power ``p_sig``."""
     return math.sqrt(p_sig * 10 ** (-snr_db / 10))
 
 
@@ -199,13 +204,16 @@ _MAX_CHUNK_CELLS = 32
 def _sweep_chunk(args):
     """Hit ratios of a contiguous run of (snr_db, seed) cells, in order.
 
+    The template's in-band signal power is computed once, and each
+    cell's noise level from it as :func:`noise_std_for_snr` gives it.
     The cells whose traces share timestamps (all of them, without
     drops) are estimated as one batch.
     """
     template, cells, methods = args
+    p_sig = inband_signal_power(template)
     batches = {}  # timestamps -> (times, cell indices, values)
     for i, (snr_db, seed) in enumerate(cells):
-        sigma = noise_std_for_snr(template, snr_db)
+        sigma = _noise_std(p_sig, snr_db)
         trace = synthesize(replace(template, noise_std_db=sigma), seed=seed)
         t, values = trace.for_channel(trace.channels()[0])
         _, index, rows = batches.setdefault(t.tobytes(), (t, [], []))

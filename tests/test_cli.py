@@ -1,6 +1,7 @@
 """End-to-end command-line checks driven through cli.main."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,31 @@ def test_bad_settings_exit_2_with_one_line(tmp_path, capsys, argv, names):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, name", [
+    ("gp.ut_alpha=0", "ut_alpha"), ("gp.ut_kappa=-1", "ut_kappa"),
+    ("gp.ut_kappa=-2", "ut_kappa"), ("gp.n_harmonics=171", "n_harmonics"),
+    ("gp.n_harmonics=150", "n_harmonics"),
+    ("gp.lengthscale=0.03", "lengthscale"),
+], ids=["alpha-zero", "kappa-minus-one", "kappa-below", "harmonics-171",
+        "harmonics-150", "tiny-lengthscale"])
+def test_gp_config_it_cannot_form_exits_2(tmp_path, capsys, setting, name):
+    # sigma weights, initial variances or kernel weights the tracker
+    # cannot form: one line naming the field, before any estimate, and
+    # no warning
+    trace = simulate(tmp_path, extra=("--set", "duration_s=20"))
+    capsys.readouterr()
+    out = tmp_path / "est.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["estimate", "--trace", str(trace), "--method", "gp",
+                  "--set", setting, "--out", str(out)])
+    assert rc == 2 and not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert name in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting", ["filter.stopband_atten_db=1e-300",
                                      "filter.passband_ripple_db=1e300"])
 def test_estimate_exits_2_on_a_filter_it_cannot_design(tmp_path, capsys,
@@ -434,8 +460,11 @@ def test_evaluate_rejects_a_rate_that_is_not_finite_or_is_negative(
 
 
 def test_gp_runaway_exits_2_and_writes_nothing(tmp_path, capsys):
-    # one sample of 1e50 drives gp's state to non-finite values; dft and
-    # kf still give finite rates on the same trace
+    # one sample of 1e50 makes gp's state run away: preprocess filters
+    # the input less its mean, about 8e46, from rest and adds the mean
+    # back, so the first samples are near 8e46, and the log-frequency
+    # runs off at the first prediction.  dft and kf still give finite
+    # rates on the same trace
     trace = simulate(tmp_path, extra=("--set", "duration_s=40"))
     lines = trace.read_text().splitlines()
     fields = lines[100].split(",")
@@ -447,8 +476,8 @@ def test_gp_runaway_exits_2_and_writes_nothing(tmp_path, capsys):
     assert run(["estimate", "--trace", str(trace), "--method", "all",
                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == ("error: gp: the tracker state ran away (not finite) at "
-                   "t = 0.064 s\n")
+    assert err == ("error: gp: the tracker state ran away (a rate of 0) at "
+                   "t = 0.032 s\n")
     assert not out.exists()
     assert not (tmp_path / "est.csv.manifest.json").exists()
     for method in ("dft", "kf"):

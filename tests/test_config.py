@@ -45,11 +45,16 @@ dft_configs = st.builds(DftConfig, n_dft=st.integers(2, 2**16),
 kf_configs = st.builds(KfConfig, n_bins=st.integers(1, 500),
                        max_freq_hz=positive, process_var=positive,
                        meas_var=positive, init_cov=positive, amp_floor=finite)
+# GpConfig rejects a lengthscale below about 0.0374, where its kernel
+# weights overflow, and a ut_alpha**2 * (1 + ut_kappa) that is not
+# positive as the sigma weights form it, 1 + (that - 1): with ut_alpha
+# down to 1e-6, 1 + ut_kappa stays at least 0.5
 gp_configs = st.builds(
     GpConfig, n_harmonics=st.integers(1, 6), kernel_var=positive,
-    lengthscale=positive, freq_drift=non_negative, meas_var=positive,
-    init_log_freq=finite, init_log_freq_var=positive, init_dc_var=positive,
-    ut_alpha=positive, ut_beta=finite, ut_kappa=finite)
+    lengthscale=st.floats(0.04, 1e6), freq_drift=non_negative,
+    meas_var=positive, init_log_freq=finite, init_log_freq_var=positive,
+    init_dc_var=positive, ut_alpha=positive, ut_beta=finite,
+    ut_kappa=st.floats(-0.5, 1e6))
 
 STRATEGIES = {
     LinkGeometry: links, ReflectorMotion: motions, MediumParams: media,

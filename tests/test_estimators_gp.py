@@ -22,11 +22,13 @@ from rssb.simulator import synthesize
 FS = 31.25
 AUX_KEYS = ("recon", "dc", "harmonic_cos", "final_state", "final_cov",
             "recondition_count")
-# gp assembles its predicted moments as one weighted outer product, takes
-# np.exp of the log-frequency and keeps its posterior exactly symmetric,
-# so it rounds differently from gp_reference.  The worst deviation seen
-# was 1.2e-12 of an output's largest magnitude on the fixed draws below,
-# 8.1e-13 over 400 draws of the property test and 2.8e-12 (f_hat) on the
+# gp assembles its predicted covariance as one product of stacked
+# factors, conditions the linear substate inside that product, writes
+# its rotations with one complex exp, takes np.exp of the log-frequency
+# and keeps its prior and posterior exactly symmetric, so it rounds
+# differently from gp_reference.  The worst deviation seen was 1.9e-12
+# of an output's largest magnitude on the fixed draws below, 5.0e-12
+# over 400 draws of the property test and 2.5e-12 on the
 # eigenvalue-floor path.
 REFERENCE_RTOL = 1e-10
 ESTIMATE = {"dft": dft_estimate, "kf": kf_estimate, "gp": gp_estimate}
@@ -344,8 +346,9 @@ def test_eigenvalue_floor_matches_reference(signal):
 
 
 def gate_as_gp_calls_it(p, counts):
-    """Symmetrize the stack ``p`` and floor it as gp's prediction step
-    does; returns the result."""
+    """Symmetrize the stack ``p`` and floor it, from ``p`` as
+    :func:`_recondition` allows; returns the result.  gp itself passes
+    its symmetric prior as both."""
     sym = p + p.mT
     sym /= 2
     _recondition(p, sym, counts)
@@ -538,9 +541,11 @@ def test_runaway_raises_at_the_first_bad_step(monkeypatch, kind):
     # stand as checked (None), or are all replayed with the floor
     # (False), or all stand unfloored (True).  The floor fires
     # on the cauchy input from step 2, so unfloored it runs away on
-    # another path, later.
+    # another path, later, at a time that rounding decides;
+    # test_runaway_time_is_where_the_prefix_fails checks every time
+    # here without its pinned number.
     t, z = runaway_input(kind)
-    when = {"cauchy": {None: 0.288, False: 0.288, True: 1.568},
+    when = {"cauchy": {None: 0.288, False: 0.288, True: 2.24},
             "spike": dict.fromkeys([None, False, True], 8.16),
             "huge-spike": dict.fromkeys([None, False, True], 6.4),
             "last-spike": dict.fromkeys([None, False, True], 9.568)}[kind]
@@ -553,6 +558,57 @@ def test_runaway_raises_at_the_first_bad_step(monkeypatch, kind):
                 gp_estimate(t, z)
         assert str(caught.value) == (
             f"gp: the tracker state ran away ({why}) at t = {t_s} s")
+
+
+@pytest.mark.parametrize("kind",
+                         ["cauchy", "spike", "huge-spike", "last-spike"])
+def test_runaway_time_is_where_the_prefix_fails(monkeypatch, kind):
+    # under each gate, gp on the samples before the time it names
+    # finishes, and one more sample makes it raise, naming that time
+    t, z = runaway_input(kind)
+    stamps = [f"{t_s:.6g}" for t_s in t]
+    for passes in (None, False, True):
+        replayed_blocks(monkeypatch, passes)
+        with pytest.raises(EstimatorError) as caught:
+            gp_estimate(t, z)
+        named = stamps.index(str(caught.value).split("at t = ")[1][:-2])
+        assert named > 0
+        assert np.isfinite(gp_estimate(t[:named], z[:named]).f_hat_hz).all()
+        with pytest.raises(EstimatorError) as again:
+            gp_estimate(t[:named + 1], z[:named + 1])
+        assert str(again.value) == str(caught.value)
+
+
+finite_fields = st.floats(-1e300, 1e300)
+positive_fields = st.floats(1e-300, 1e300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_harmonics=st.integers(1, 400), kernel_var=positive_fields,
+       lengthscale=positive_fields,
+       freq_drift=st.just(0.0) | positive_fields, meas_var=positive_fields,
+       init_log_freq=finite_fields, init_log_freq_var=positive_fields,
+       init_dc_var=positive_fields, ut_alpha=finite_fields,
+       ut_beta=finite_fields, ut_kappa=finite_fields,
+       seed=st.integers(0, 2**32 - 1))
+@example(n_harmonics=149, kernel_var=0.01, lengthscale=0.0375,
+         freq_drift=1e-4, meas_var=1.0, init_log_freq=-1.4,
+         init_log_freq_var=0.02, init_dc_var=0.3, ut_alpha=1e-8,
+         ut_beta=2.0, ut_kappa=0.0, seed=0)
+def test_any_config_runs_or_raises(seed, **fields):
+    # a config either is rejected, or gp runs a short trace with finite
+    # positive rates or raises that its state ran away; nothing else
+    # escapes, no warning either
+    rng = np.random.default_rng(seed)
+    t = np.arange(12) / FS
+    z = np.sin(2 * np.pi * 0.25 * t) + rng.normal(0, 0.3, len(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            series = gp_estimate(t, z, GpConfig(**fields))
+        except EstimatorError:
+            return
+    assert np.isfinite(series.f_hat_hz).all() and (series.f_hat_hz > 0).all()
 
 
 # gp on a bed trace scaled by a c that is not a power of two, against
