@@ -95,7 +95,8 @@ def _resolve_scenario(args):
 
 def _estimator_settings(args):
     """Filter spec and per-method configs by section name, from --config
-    and --set; absent sections and fields take their defaults."""
+    and --set; absent sections and fields take their defaults, and the
+    filter's must be the template's, the one every estimate uses."""
     classes = {"filter": FilterSpec,
                **{method: cls for method, (_, cls) in ESTIMATORS.items()}}
     data = _config_data(args, {})
@@ -160,8 +161,7 @@ def cmd_estimate(args):
     methods = METHODS if args.method == "all" else (args.method,)
     if args.spectrogram and "dft" not in methods:  # before anything is written
         raise ValueError("--spectrogram requires the dft method")
-    results = estimate(t, values, trace.nominal_rate_hz(), methods, settings,
-                       settings["filter"])
+    results = estimate(t, values, trace.nominal_rate_hz(), methods, settings)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -209,7 +209,7 @@ def cmd_evaluate(args):
         trace = RssTrace.load_csv(args.trace)
         t, values = trace.for_channel(_pick_channel(trace, args.channel))
         fs = trace.nominal_rate_hz()
-        _, (y,) = spectral_input(t, [values], fs, FilterSpec())
+        _, (y,) = spectral_input(t, [values], fs)
         snr_db = snr_estimate(y, fs, args.true_freq_hz)
 
     report = {}

@@ -8,20 +8,19 @@ but both outputs use the mean of the whole batch.  A constant offset of
 the input, such as a trace's dB reference, moves ``z`` by that constant
 and leaves ``y`` unchanged, up to rounding.
 
-The elliptic low-pass is designed here from the Jacobi elliptic
-functions of ``scipy.special`` and runs as banded triangular solves in
+The elliptic low-pass is the reference receiver chain's one template.
+Its analog prototype is tabulated; the prewarp, the bilinear transform
+and the pairing into second-order sections, which depend on the sample
+rate, follow ``scipy.signal.ellip`` step by step and give its sections
+bit for bit.  The filter runs as banded triangular solves in
 ``scipy.linalg.blas``, so the package never imports ``scipy.signal``,
-which would be the largest part of its import time and memory.  The
-design repeats ``scipy.signal.ellip`` step by step and gives its
-second-order sections bit for bit.
+which would be the largest part of its import time and memory.
 """
 
 import functools
-import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
 from scipy.linalg.blas import dtbsv
 
 _TEMPLATE_GRID = 4096
@@ -36,10 +35,12 @@ class FilterDesignError(ValueError):
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Low-pass template for breathing signals.
+    """The low-pass template of the reference receiver chain: 5th-order
+    elliptic, 2 Hz passband with 0.05 dB ripple, 40 dB stopband from 3 Hz.
 
-    Defaults follow the reference receiver chain: 5th-order elliptic,
-    2 Hz passband with 0.05 dB ripple, 40 dB stopband from 3 Hz.
+    The fields record this one template, the only low-pass the package
+    designs: a spec with any other value raises FilterDesignError naming
+    the first field that differs, before anything is designed.
     """
 
     order: int = 5
@@ -49,109 +50,27 @@ class FilterSpec:
     stopband_atten_db: float = 40.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, astuple(self))):
-            raise FilterDesignError(f"{self}: every field must be finite")
-        if self.order < 1 or self.order != int(self.order):
-            raise FilterDesignError("order must be a whole number of at "
-                                    "least 1")
-        if not 0 < self.passband_hz < self.stopband_hz:
-            raise FilterDesignError("need 0 < passband_hz < stopband_hz")
-        if self.passband_ripple_db <= 0 or self.stopband_atten_db <= 0:
-            raise FilterDesignError("ripple and attenuation must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) != f.default:
+                raise FilterDesignError(
+                    f"{self}: {f.name} must be {f.default!r}, the template's")
 
 
-# The design below repeats scipy.signal's ellip(output="sos") for a
-# digital low-pass: the analog prototype of ellipap, iirfilter's prewarp
-# at fs = 2, bilinear_zpk, and zpk2sos with "nearest" pairing, with the
-# same operations in the same order, so the sections are equal bit for
-# bit.  Adapted from SciPy, Copyright (c) 2001-2002 Enthought, Inc. and
-# 2003- SciPy Developers, BSD 3-Clause licence.  The prototype follows
-# Orfanidis, "Lecture Notes on Elliptic Filter Design" (2006).
-
-_EPSILON = 2e-16
-_ELLIPDEG_TERMS = 7      # nome series terms of the degree equation
-_LANDEN_MAX_STEPS = 10   # Orfanidis suggests 5; a NaN modulus never ends
-
-
-def _pow10m1(x):
-    """10 ** x - 1 for x near 0."""
-    return math.expm1(math.log(10) * x)
-
-
-def _ellipdeg(n, m1):
-    """Solve the degree equation n K(m) / K'(m) = K(m1) / K'(m1) for m
-    by nomes (Orfanidis, eq. 49)."""
-    q1 = np.exp(-np.pi * special.ellipkm1(m1) / special.ellipk(m1))
-    q = q1 ** (1 / n)
-    mnum = np.arange(_ELLIPDEG_TERMS + 1)
-    mden = np.arange(1, _ELLIPDEG_TERMS + 2)
-    num = np.sum(q ** (mnum * (mnum + 1)))
-    den = 1 + 2 * np.sum(q ** (mden ** 2))
-    return 16 * q * (num / den) ** 4
-
-
-def _arc_jac_sc1(w, m):
-    """Real z with w = sc(z, 1 - m), as -i times the inverse Jacobian sn
-    of i w at modulus m, by the Landen recursion (Orfanidis, eq. 56)."""
-    def complement(kx):
-        return ((1 - kx) * (1 + kx)) ** 0.5
-
-    w = 1j * w
-    k = m ** 0.5
-    if k > 1:
-        z = np.nan
-    elif k == 1:
-        z = np.arctanh(w)
-    else:
-        ks = [k]
-        while ks[-1] != 0:
-            if len(ks) > _LANDEN_MAX_STEPS:
-                raise FilterDesignError("the Landen transformation does "
-                                        "not converge")
-            k_p = complement(ks[-1])
-            ks.append((1 - k_p) / (1 + k_p))
-        for kn, knext in zip(ks[:-1], ks[1:]):
-            w = 2 * w / ((1 + knext) * (1 + complement(kn * w)))
-        z = np.prod(1 + np.array(ks[1:])) * np.pi / 2 * (
-            2 / np.pi * np.arcsin(w))
-    if abs(z.real) > 1e-14:
-        raise FilterDesignError("the inverse Jacobian sc is not real")
-    return z.imag
-
-
-def _ellip_prototype(n, rp, rs):
-    """Zeros, poles and gain of the order-``n`` analog elliptic low-pass
-    with ``rp`` dB of passband ripple up to 1 rad/s and ``rs`` dB of
-    stopband attenuation (``scipy.signal.ellipap``)."""
-    if n == 1:
-        p = -math.sqrt(1.0 / _pow10m1(0.1 * rp))
-        return np.zeros(0, complex), np.array([p], complex), -p
-    eps_sq = _pow10m1(0.1 * rp)
-    eps = math.sqrt(eps_sq)
-    ck1_sq = eps_sq / _pow10m1(0.1 * rs)
-    if ck1_sq == 0:
-        raise FilterDesignError("ripple and attenuation leave no "
-                                "selectivity")
-    m = _ellipdeg(n, ck1_sq)
-    capk = special.ellipk(m)
-    j = np.arange(1 - n % 2, n, 2)
-    s, c, d, _ = special.ellipj(j * capk / n, m * np.ones(len(j)))
-    z = 1j * (1.0 / (np.sqrt(m) * np.compress(abs(s) > _EPSILON, s)))
-    z = np.concatenate((z, np.conjugate(z)))
-    v0 = capk * _arc_jac_sc1(1. / eps, ck1_sq) / (n * special.ellipk(ck1_sq))
-    sv, cv, dv, _ = special.ellipj(v0, 1 - m)
-    p = -(c * d * sv * cv + 1j * s * dv) / (1 - (d * sv) ** 2.0)
-    if n % 2:
-        # the real pole of an odd order has no conjugate
-        norm = np.sqrt(np.sum(p * np.conjugate(p)).real)
-        p = np.concatenate((p, np.conjugate(
-            np.compress(abs(p.imag) > _EPSILON * norm, p))))
-    else:
-        p = np.concatenate((p, np.conjugate(p)))
-    k = (np.prod(-p) / np.prod(-z)).real
-    if n % 2 == 0:
-        k = k / np.sqrt(1 + eps_sq)
-    return z, p, float(k)
+# The design below is scipy.signal's ellip(5, 0.05, 40, output="sos") for
+# the template: ellipap's analog prototype, tabulated (the zeros and poles
+# for a passband edge at 1 rad/s, complex ones followed by their
+# conjugates, and the gain), then iirfilter's prewarp at fs = 2,
+# bilinear_zpk, and zpk2sos with "nearest" pairing, with the same
+# operations in the same order, so the sections are equal bit for bit.
+# Adapted from SciPy, Copyright (c) 2001-2002 Enthought, Inc. and 2003-
+# SciPy Developers, BSD 3-Clause licence.
+_ZEROS = np.array([2.31346757435406j, 1.547108134265165j])
+_POLES = np.array([-0.7603081663669875 + 0j,
+                   -0.4732670351354864 - 0.8199385981019272j,
+                   -0.1253779669147655 - 1.094248251255676j])
+_PROTOTYPE = (np.concatenate((_ZEROS, _ZEROS.conj())),
+              np.concatenate((_POLES, _POLES[1:].conj())),
+              0.06453002992554542)
 
 
 def _cplxreal(z):
@@ -276,24 +195,20 @@ def _zpk2sos(z, p, k):
     return sos
 
 
-def _ellip_sos(order, rp, rs, wn):
-    """Sections of the digital elliptic low-pass with its passband edge
-    at ``wn`` times Nyquist (``scipy.signal.ellip(..., output="sos")``)."""
-    z, p, k = _ellip_prototype(order, rp, rs)
+def _ellip_sos(wn):
+    """Sections of the template's digital low-pass with its passband edge
+    at ``wn`` times Nyquist (``scipy.signal.ellip(5, 0.05, 40, wn,
+    output="sos")``)."""
+    z, p, k = _PROTOTYPE
     # prewarp and bilinear transform at fs = 2, as iirfilter does
     fs = 2.0
     warped = float(2 * fs * np.tan(np.pi * wn / fs))
     degree = len(p) - len(z)
-    if degree < 0:
-        raise FilterDesignError("the prototype has more zeros than poles")
     z, p, k = warped * z, warped * p, k * warped ** degree
     fs2 = 2.0 * fs
     k = k * np.real(np.prod(fs2 - z) / np.prod(fs2 - p))
     z = np.concatenate(((fs2 + z) / (fs2 - z), -np.ones(degree)))
     p = (fs2 + p) / (fs2 - p)
-    if not (np.isfinite(z).all() and np.isfinite(p).all()
-            and np.isfinite(k)):
-        raise FilterDesignError("the design is not finite")
     return _zpk2sos(z, p, k)
 
 
@@ -311,18 +226,17 @@ def _response(sos, sample_rate_hz):
 
 @functools.lru_cache
 def design_lowpass(spec: FilterSpec, sample_rate_hz) -> np.ndarray:
-    """Design the elliptic low-pass as second-order sections.
+    """Design the template's elliptic low-pass as second-order sections.
 
-    The sections are those of ``scipy.signal.ellip(spec.order,
-    spec.passband_ripple_db, spec.stopband_atten_db, spec.passband_hz,
+    The sections are those of ``scipy.signal.ellip(5, 0.05, 40, 2.0,
     fs=sample_rate_hz, output="sos")``, bit for bit, computed from the
-    Jacobi elliptic functions of ``scipy.special``.  The cascade is
-    checked against the template on a dense frequency grid: ripple
-    within the passband, attenuation beyond the stopband edge, and
-    unity DC gain.  A spec that cannot be designed at this rate, or
-    whose design misses the template, raises FilterDesignError naming
-    the spec, on every call.  Each (spec, rate) is designed once; the
-    cascade returned is shared and read-only.
+    tabulated analog prototype.  The cascade is checked against the
+    template on a dense frequency grid: ripple within the passband,
+    attenuation beyond the stopband edge, and unity DC gain.  A rate at
+    which the template cannot be designed, or whose design misses it,
+    raises FilterDesignError naming the spec and the rate, on every
+    call.  Each rate is designed once; the cascade returned is shared
+    and read-only.
     """
     if not spec.stopband_hz < sample_rate_hz / 2:
         raise FilterDesignError(
@@ -331,14 +245,13 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz) -> np.ndarray:
     with np.errstate(all="ignore"):
         # scalar math raises where numpy would return inf or NaN, and
         # a degenerate set of roots can leave the pairing without a
-        # real one: every such failure is the spec's
+        # real one: every such failure is the rate's
         try:
             wn = np.float64(spec.passband_hz) / (sample_rate_hz / 2)
             if not 0 < wn < 1:
                 raise FilterDesignError("the passband edge is not within "
                                         "(0, 1) of Nyquist")
-            sos = _ellip_sos(spec.order, spec.passband_ripple_db,
-                             spec.stopband_atten_db, wn)
+            sos = _ellip_sos(wn)
         except (ArithmeticError, IndexError, ValueError) as exc:
             raise FilterDesignError(
                 f"{spec} at {sample_rate_hz} Hz: {exc}") from None

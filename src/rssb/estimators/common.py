@@ -1,6 +1,7 @@
 """Shared result container for the rate estimators."""
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -8,6 +9,16 @@ import numpy as np
 class EstimatorError(ValueError):
     """Estimator input failed validation (too short, uneven, malformed),
     or a tracker's state ran away to values that are not finite."""
+
+
+def check_finite(cfg):
+    """Raise EstimatorError naming the first field of the config ``cfg``
+    that holds a NaN or an infinity, alone or in a tuple."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        values = value if isinstance(value, tuple) else (value,)
+        if not all(isinstance(v, int) or math.isfinite(v) for v in values):
+            raise EstimatorError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass

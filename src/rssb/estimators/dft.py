@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dsp import is_uniform, nominal_rate_hz
-from .common import EstimateSeries, EstimatorError, check_rows
+from .common import EstimateSeries, EstimatorError, check_finite, check_rows
 
 # Window starts per running sum: a block holds the ceil(512 / hop)
 # windows that start within 512 samples of its first one, so blocks
@@ -53,6 +53,7 @@ class DftConfig:
     band_hz: tuple[float, float] = (0.1, 1.25)
 
     def __post_init__(self):
+        check_finite(self)
         if self.n_dft < 2:
             raise EstimatorError("n_dft must be at least 2")
         if self.window_s <= 0:

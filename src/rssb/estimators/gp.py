@@ -67,7 +67,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import special
 
-from .common import EstimateSeries, EstimatorError, check_rows
+from .common import EstimateSeries, EstimatorError, check_finite, check_rows
 
 # Steps run a block at a time, and the floors of a whole block are tested
 # by one stacked Cholesky call.  Large enough that numpy's per-call cost
@@ -126,11 +126,12 @@ class GpConfig:
     log-frequency at ``init_log_freq_var``.
 
     A config whose tracker cannot be formed raises
-    :class:`EstimatorError`: the top harmonic's initial variance must be
-    a positive normal double, which bounds ``n_harmonics`` at 149 at the
-    default ``kernel_var``; the kernel weights must be finite
-    (:func:`kernel_cosine_weights`); and ut_alpha**2 * (1 + ut_kappa),
-    as the sigma weights form it, must be positive and finite.
+    :class:`EstimatorError`: every float field must be finite; the top
+    harmonic's initial variance must be a positive normal double, which
+    bounds ``n_harmonics`` at 149 at the default ``kernel_var``; the
+    kernel weights must be finite (:func:`kernel_cosine_weights`); and
+    ut_alpha**2 * (1 + ut_kappa), as the sigma weights form it, must be
+    positive and finite.
     """
 
     n_harmonics: int = 2
@@ -146,6 +147,7 @@ class GpConfig:
     ut_kappa: float = 0.0
 
     def __post_init__(self):
+        check_finite(self)
         if self.n_harmonics < 1:
             raise EstimatorError("n_harmonics must be at least 1")
         if min(self.kernel_var, self.lengthscale, self.meas_var,

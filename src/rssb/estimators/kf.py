@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg.blas import dsymv, dsyr
 
 from ..dsp import is_uniform
-from .common import EstimateSeries, EstimatorError, check_rows
+from .common import EstimateSeries, EstimatorError, check_finite, check_rows
 
 # Steps handled a block at a time: observation rows are built, gains
 # computed and the state history scored (squared amplitudes, argmax,
@@ -64,6 +64,7 @@ class KfConfig:
     amp_floor: float = 1e-6
 
     def __post_init__(self):
+        check_finite(self)
         if self.n_bins < 1:
             raise EstimatorError("n_bins must be at least 1")
         if self.max_freq_hz <= 0:

@@ -43,20 +43,19 @@ def check_methods(methods):
         raise ValueError(f"repeated methods: {repeated}")
 
 
-def spectral_input(times_s, rows, fs, filter_spec, y=None):
+def spectral_input(times_s, rows, fs, y=None):
     """The dft's input: a uniform grid and the mean-removed ``y`` of each
     row on it.  Evenly spaced rows keep their times (and ``y``, if the
     caller has it); uneven ones are resampled at ``fs``, then filtered."""
     if is_uniform(times_s):
         if y is None:
-            y = [preprocess(v, filter_spec, fs)[0] for v in rows]
+            y = [preprocess(v, FilterSpec(), fs)[0] for v in rows]
         return times_s, y
     grids = [resample_uniform(times_s, v, fs) for v in rows]
-    return grids[0][0], [preprocess(v, filter_spec, fs)[0] for _, v in grids]
+    return grids[0][0], [preprocess(v, FilterSpec(), fs)[0] for _, v in grids]
 
 
-def estimate(times_s, values, fs, methods, configs=None,
-             filter_spec=FilterSpec()):
+def estimate(times_s, values, fs, methods, configs=None):
     """Run ``methods`` on one channel's raw samples.
 
     ``fs`` is the nominal sample rate the filter is designed for; it is
@@ -66,12 +65,10 @@ def estimate(times_s, values, fs, methods, configs=None,
     Returns a dict mapping each method, in the order given, to its
     EstimateSeries.
     """
-    return estimate_batch(times_s, [values], fs, methods, configs,
-                          filter_spec)[0]
+    return estimate_batch(times_s, [values], fs, methods, configs)[0]
 
 
-def estimate_batch(times_s, rows, fs, methods, configs=None,
-                   filter_spec=FilterSpec()):
+def estimate_batch(times_s, rows, fs, methods, configs=None):
     """:func:`estimate` on each stream in ``rows``, sampled at ``times_s``.
 
     Each method runs once over all rows: kf runs its covariance
@@ -82,24 +79,23 @@ def estimate_batch(times_s, rows, fs, methods, configs=None,
     """
     results = [{} for _ in rows]
     for method, series in _estimate_methods(times_s, rows, fs, methods,
-                                            configs, filter_spec):
+                                            configs):
         for result, one in zip(results, series):
             result[method] = one
     return results
 
 
-def _estimate_methods(times_s, rows, fs, methods, configs=None,
-                      filter_spec=FilterSpec()):
+def _estimate_methods(times_s, rows, fs, methods, configs=None):
     """Yield ``(method, one EstimateSeries per row)`` for each method in
     turn, each row preprocessed once; :func:`estimate_batch` collects
     them, and a caller that scores each method as it comes need not hold
     the series of all methods at once."""
     check_methods(methods)
     configs = configs or {}
-    y, z = zip(*(preprocess(values, filter_spec, fs) for values in rows))
+    y, z = zip(*(preprocess(values, FilterSpec(), fs) for values in rows))
     inputs = {"kf": (times_s, z), "gp": (times_s, z)}
     if "dft" in methods:
-        inputs["dft"] = spectral_input(times_s, rows, fs, filter_spec, y)
+        inputs["dft"] = spectral_input(times_s, rows, fs, y)
     for method in methods:
         fn, config_cls = ESTIMATORS[method]
         cfg = configs.get(method) or config_cls()

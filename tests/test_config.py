@@ -36,9 +36,7 @@ scenarios = st.builds(
     noise_std_db=non_negative, quantization_db=non_negative,
     drop_prob=st.floats(0.0, 0.99), seed=st.integers(0, 2**64),
     model=st.sampled_from(["exact", "frozen"]))
-filter_specs = st.builds(
-    lambda order, edges, ripple, atten: FilterSpec(order, *edges, ripple, atten),
-    st.integers(1, 12), increasing, positive, positive)
+filter_specs = st.just(FilterSpec())  # the template is the only spec
 dft_configs = st.builds(DftConfig, n_dft=st.integers(2, 2**16),
                         window_s=positive, hop_samples=st.integers(1, 100),
                         band_hz=increasing)
