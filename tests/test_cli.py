@@ -1,5 +1,6 @@
 """End-to-end command-line checks driven through cli.main."""
 
+import dataclasses
 import json
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 import scipy
 
 from rssb.cli import ESTIMATES_HEADER, main
+from rssb.dsp import FilterSpec
 from rssb.presets import example_scenario_path
 from rssb.simulator import RssTrace
 
@@ -290,7 +292,9 @@ def test_gp_config_it_cannot_form_exits_2(tmp_path, capsys, setting, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["filter.order=1000000000"])
+@pytest.mark.parametrize("setting", ["filter.stopband_atten_db=1e-300",
+                                     "filter.passband_ripple_db=1e300",
+                                     "filter.order=1000000000"])
 def test_estimate_exits_2_on_a_filter_it_cannot_design(tmp_path, capsys,
                                                        setting):
     # a filter other than the template is refused before any design
@@ -301,8 +305,10 @@ def test_estimate_exits_2_on_a_filter_it_cannot_design(tmp_path, capsys,
                 "--set", setting, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     field, value = setting.removeprefix("filter.").split("=")
-    assert err.startswith(f"error: FilterSpec({field}={value}, ")
-    assert f": {field} must be 5" in err and err.count("\n") == 1
+    default = {f.name: f.default for f in dataclasses.fields(FilterSpec)}[field]
+    assert err.startswith("error: FilterSpec(order=")
+    assert f"{field}={type(default)(float(value))!r}" in err
+    assert f": {field} must be {default!r}" in err and err.count("\n") == 1
     assert not out.exists()
 
 
