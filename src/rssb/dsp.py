@@ -9,12 +9,15 @@ the input, such as a trace's dB reference, moves ``z`` by that constant
 and leaves ``y`` unchanged, up to rounding.
 
 The elliptic low-pass is the reference receiver chain's one template.
-Its analog prototype is tabulated; the prewarp, the bilinear transform
-and the pairing into second-order sections, which depend on the sample
-rate, follow ``scipy.signal.ellip`` step by step and give its sections
-bit for bit.  The filter runs as banded triangular solves in
-``scipy.linalg.blas``, so the package never imports ``scipy.signal``,
-which would be the largest part of its import time and memory.
+Its analog prototype is tabulated; the prewarp and the bilinear
+transform, which depend on the sample rate, follow ``scipy.signal.ellip``
+step by step.  The pairing into second-order sections is fixed: it is
+``zpk2sos``'s "nearest" pairing for the one shape of roots the template
+gives at every rate, written as three rules, so the sections equal
+``scipy.signal.ellip``'s bit for bit.  The filter runs as banded
+triangular solves in ``scipy.linalg.blas``, so the package never
+imports ``scipy.signal``, which would be the largest part of its import
+time and memory.
 """
 
 import functools
@@ -59,11 +62,15 @@ class FilterSpec:
 # The design below is scipy.signal's ellip(5, 0.05, 40, output="sos") for
 # the template: ellipap's analog prototype, tabulated (the zeros and poles
 # for a passband edge at 1 rad/s, complex ones followed by their
-# conjugates, and the gain), then iirfilter's prewarp at fs = 2,
-# bilinear_zpk, and zpk2sos with "nearest" pairing, with the same
-# operations in the same order, so the sections are equal bit for bit.
-# Adapted from SciPy, Copyright (c) 2001-2002 Enthought, Inc. and 2003-
-# SciPy Developers, BSD 3-Clause licence.
+# conjugates, and the gain), then iirfilter's prewarp at fs = 2 and
+# bilinear_zpk, with the same operations in the same order.  After the
+# transform the zeros are always two conjugate pairs and -1, and the
+# poles two conjugate pairs and one real pole, so zpk2sos's "nearest"
+# pairing reduces to fixed rules (see _ellip_sos), each section formed
+# by np.poly as zpk2sos forms it, and the sections are equal bit for
+# bit.  The prewarp and bilinear transform are adapted from SciPy,
+# Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers,
+# BSD 3-Clause licence.
 _ZEROS = np.array([2.31346757435406j, 1.547108134265165j])
 _POLES = np.array([-0.7603081663669875 + 0j,
                    -0.4732670351354864 - 0.8199385981019272j,
@@ -71,128 +78,6 @@ _POLES = np.array([-0.7603081663669875 + 0j,
 _PROTOTYPE = (np.concatenate((_ZEROS, _ZEROS.conj())),
               np.concatenate((_POLES, _POLES[1:].conj())),
               0.06453002992554542)
-
-
-def _cplxreal(z):
-    """The conjugate pairs of ``z``, one element each with its positive
-    imaginary part (pairs averaged), then its real elements; both sorted
-    as scipy.signal's ``_cplxreal`` sorts them."""
-    tol = 100 * np.finfo(float).eps
-    z = z[np.lexsort((abs(z.imag), z.real))]
-    real = abs(z.imag) <= tol * abs(z)
-    zr = z[real].real
-    if len(zr) == len(z):
-        return np.concatenate((np.array([]), zr))
-    z = z[~real]
-    zp = z[z.imag > 0]
-    zn = z[z.imag < 0]
-    if len(zp) != len(zn):
-        raise FilterDesignError("a complex root has no conjugate")
-    # runs of (nearly) the same real part are sorted by imaginary part
-    same_real = np.diff(zp.real) <= tol * abs(zp[:-1])
-    diffs = np.diff(np.concatenate(([0], same_real, [0])))
-    for start, stop in zip(np.nonzero(diffs > 0)[0],
-                           np.nonzero(diffs < 0)[0] + 1):
-        for chunk in (zp[start:stop], zn[start:stop]):
-            chunk[...] = chunk[np.lexsort([abs(chunk.imag)])]
-    if any(abs(zp - zn.conj()) > tol * abs(zn)):
-        raise FilterDesignError("a complex root has no conjugate")
-    return np.concatenate(((zp + zn.conj()) / 2, zr))
-
-
-def _poly(roots):
-    """Coefficients of the monic polynomial with ``roots`` (``np.poly``)."""
-    roots = np.asarray(roots)
-    a = np.ones(1, roots.dtype)
-    for root in roots:
-        a = np.convolve(a, np.array([1, -root], roots.dtype))
-    if np.iscomplexobj(a) and np.all(np.sort(roots.imag)
-                                     == np.sort(-roots.imag)):
-        a = a.real.copy()
-    return a
-
-
-def _section(z, p):
-    """One second-order section with up to two zeros and poles."""
-    sos = np.zeros(6)
-    b, a = _poly(z), _poly(p)
-    sos[3 - len(b):3] = b
-    sos[6 - len(a):6] = a
-    return sos
-
-
-def _nearest(fro, to, which):
-    """Index of the element of ``fro`` nearest ``to`` among the real
-    ones, the complex ones or (``which="any"``) all."""
-    order = np.argsort(np.abs(fro - to))
-    if which == "any":
-        return order[0]
-    mask = np.isreal(fro[order])
-    if which == "complex":
-        mask = ~mask
-    return order[np.nonzero(mask)[0][0]]
-
-
-def _zpk2sos(z, p, k):
-    """Digital zeros, poles and gain as second-order sections, the poles
-    nearest the unit circle last, each paired with its nearest zeros
-    (``scipy.signal.zpk2sos``, pairing "nearest")."""
-    p = np.concatenate((p, np.zeros(max(len(z) - len(p), 0))))
-    z = np.concatenate((z, np.zeros(max(len(p) - len(z), 0))))
-    n_sections = (len(p) + 1) // 2
-    if len(p) % 2 == 1:
-        p = np.concatenate((p, [0.]))
-        z = np.concatenate((z, [0.]))
-    z = _cplxreal(z)
-    p = _cplxreal(p)
-
-    def worst(p):
-        return np.argmin(np.abs(1 - np.abs(p)))
-
-    sos = np.zeros((n_sections, 6))
-    for si in range(n_sections - 1, -1, -1):
-        p1_idx = worst(p)
-        p1 = p[p1_idx]
-        p = np.delete(p, p1_idx)
-        if np.isreal(p1) and np.isreal(p).sum() == 0:
-            # the last real pole
-            z1_idx = _nearest(z, p1, "real")
-            z1 = z[z1_idx]
-            z = np.delete(z, z1_idx)
-            sos[si] = _section([z1, 0], [p1, 0])
-        elif (len(p) + 1 == len(z) and not np.isreal(p1)
-              and np.isreal(p).sum() == 1 and np.isreal(z).sum() == 1):
-            # one real pole and one real zero are left for the other
-            # sections, so this pole takes a complex zero
-            z1_idx = _nearest(z, p1, "complex")
-            z1 = z[z1_idx]
-            z = np.delete(z, z1_idx)
-            sos[si] = _section([z1, z1.conj()], [p1, p1.conj()])
-        else:
-            if np.isreal(p1):
-                real_idx = np.flatnonzero(np.isreal(p))
-                p2_idx = real_idx[worst(p[real_idx])]
-                p2 = p[p2_idx]
-                p = np.delete(p, p2_idx)
-            else:
-                p2 = p1.conj()
-            if len(z) == 0:
-                sos[si] = _section([], [p1, p2])
-                continue
-            z1_idx = _nearest(z, p1, "any")
-            z1 = z[z1_idx]
-            z = np.delete(z, z1_idx)
-            if not np.isreal(z1):
-                sos[si] = _section([z1, z1.conj()], [p1, p2])
-            elif len(z) > 0:
-                z2_idx = _nearest(z, p1, "real")
-                z2 = z[z2_idx]
-                z = np.delete(z, z2_idx)
-                sos[si] = _section([z1, z2], [p1, p2])
-            else:
-                sos[si] = _section([z1], [p1, p2])
-    sos[0][:3] *= k
-    return sos
 
 
 def _ellip_sos(wn):
@@ -207,9 +92,23 @@ def _ellip_sos(wn):
     z, p, k = warped * z, warped * p, k * warped ** degree
     fs2 = 2.0 * fs
     k = k * np.real(np.prod(fs2 - z) / np.prod(fs2 - p))
-    z = np.concatenate(((fs2 + z) / (fs2 - z), -np.ones(degree)))
+    z = (fs2 + z) / (fs2 - z)
     p = (fs2 + p) / (fs2 - p)
-    return _zpk2sos(z, p, k)
+    # zpk2sos's "nearest" pairing of these roots: the complex pole pair
+    # nearest the unit circle in section 2, the other in section 1, each
+    # with the zero group that holds the zero nearest it, a conjugate
+    # pair or {-1, 0} (the bilinear transform's real zero and the 0
+    # zpk2sos pads with); the real pole and the padding 0 take the
+    # group left, in section 0, with the gain
+    groups = [[c, c.conj()] for c in z[z.imag > 0]] + [[-1.0, 0.0]]
+    pairs = sorted(p[p.imag > 0], key=lambda c: abs(1 - abs(c)))
+    sos = np.empty((3, 6))
+    for si, pole in zip((2, 1), pairs):
+        zeros = min(groups, key=lambda g: min(abs(r - pole) for r in g))
+        groups.remove(zeros)
+        sos[si] = np.r_[np.poly(zeros).real, np.poly([pole, pole.conj()]).real]
+    sos[0] = np.r_[k * np.poly(groups[0]).real, np.poly([p[0].real, 0.0])]
+    return sos
 
 
 def _response(sos, sample_rate_hz):
@@ -242,19 +141,12 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz) -> np.ndarray:
         raise FilterDesignError(
             f"{spec} at {sample_rate_hz} Hz: the stopband edge must be "
             f"below Nyquist {sample_rate_hz / 2} Hz")
+    wn = np.float64(spec.passband_hz) / (sample_rate_hz / 2)
+    if not 0 < wn < 1:
+        raise FilterDesignError(f"{spec} at {sample_rate_hz} Hz: the passband "
+                                f"edge is not within (0, 1) of Nyquist")
     with np.errstate(all="ignore"):
-        # scalar math raises where numpy would return inf or NaN, and
-        # a degenerate set of roots can leave the pairing without a
-        # real one: every such failure is the rate's
-        try:
-            wn = np.float64(spec.passband_hz) / (sample_rate_hz / 2)
-            if not 0 < wn < 1:
-                raise FilterDesignError("the passband edge is not within "
-                                        "(0, 1) of Nyquist")
-            sos = _ellip_sos(wn)
-        except (ArithmeticError, IndexError, ValueError) as exc:
-            raise FilterDesignError(
-                f"{spec} at {sample_rate_hz} Hz: {exc}") from None
+        sos = _ellip_sos(wn)
         if not np.isfinite(sos).all():
             raise FilterDesignError(f"{spec} at {sample_rate_hz} Hz: the "
                                     f"sections are not finite")
@@ -267,9 +159,10 @@ def design_lowpass(spec: FilterSpec, sample_rate_hz) -> np.ndarray:
     pass_dev = np.abs(mag_db[freq <= spec.passband_hz]).max()
     stop_max = stop_db.max()
     dc_gain = np.abs(h[0])
-    if (pass_dev > spec.passband_ripple_db + _TEMPLATE_SLACK_DB
-            or stop_max > -spec.stopband_atten_db + _TEMPLATE_SLACK_DB
-            or abs(dc_gain - 1) > _DC_GAIN_TOL):
+    # written so that a NaN response fails every comparison
+    if not (pass_dev <= spec.passband_ripple_db + _TEMPLATE_SLACK_DB
+            and stop_max <= -spec.stopband_atten_db + _TEMPLATE_SLACK_DB
+            and abs(dc_gain - 1) <= _DC_GAIN_TOL):
         raise FilterDesignError(
             f"{spec} at {sample_rate_hz} Hz: the order-{spec.order} design "
             f"misses the template: passband deviation {pass_dev:.4f} dB, "

@@ -106,13 +106,14 @@ def dft_estimate_batch(times_s, rows, cfg: DftConfig = DftConfig()):
             "periodogram estimator requires uniform sampling; resample first")
     fs = nominal_rate_hz(times_s)
     nw = cfg.window_samples(fs)
+    window = f"{nw} samples, window_s={cfg.window_s!r} at {fs!r} Hz"
     if cfg.n_dft < nw:
-        raise EstimatorError(
-            f"n_dft ({cfg.n_dft}) must be at least the window length ({nw})")
+        raise EstimatorError(f"n_dft ({cfg.n_dft}) must be at least the "
+                             f"window length ({window})")
     if len(times_s) < nw:
         raise EstimatorError(
-            f"signal has {len(times_s)} samples but one window needs {nw}; "
-            "provide a longer trace")
+            f"signal has {len(times_s)} samples but one window needs "
+            f"{window}; provide a longer trace")
 
     freqs = np.fft.rfftfreq(cfg.n_dft, d=1.0 / fs)
     band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])

@@ -24,16 +24,17 @@ is symmetrized; the measurement update P -= (P h)(P h)' / s keeps the
 covariance exactly symmetric.
 
 Each prior and posterior is kept above an eigenvalue floor, but the
-floor is tested a block of ``_BLOCK_STEPS`` steps at a time.  A block
-first runs without it; then one stacked Cholesky call tests every
-prior and posterior the block left, each against its step's trace
-shift.  If all pass, no floor would have fired and the block stands.
-Otherwise it runs again from the state before it, with the floor of
-:func:`_recondition` (one stacked ``eigh``) at every step, so outputs
-are those of flooring every step.  A state that runs away, a
-covariance or rate that is not finite or a rate that underflows to 0,
-raises :class:`EstimatorError` naming the time of the first bad step;
-no floating-point warning is reported.
+floor is tested a block of up to ``_BLOCK_STEPS`` steps at a time (fewer
+where the block's buffers would pass ``_BLOCK_BYTES``; outputs do not
+depend on the block length).  A block first runs without it; then one
+stacked Cholesky call tests every prior and posterior the block left,
+each against its step's trace shift.  If all pass, no floor would have
+fired and the block stands.  Otherwise it runs again from the state
+before it, with the floor of :func:`_recondition` (one stacked
+``eigh``) at every step, so outputs are those of flooring every step.
+A state that runs away, a covariance or rate that is not finite or a
+rate that underflows to 0, raises :class:`EstimatorError` naming the
+time of the first bad step; no floating-point warning is reported.
 
 :func:`gp_estimate_batch` steps any number of streams sampled at the
 same times in lockstep, on stacked means and covariances, each row bit
@@ -70,10 +71,22 @@ from scipy import special
 from .common import EstimateSeries, EstimatorError, check_finite, check_rows
 
 # Steps run a block at a time, and the floors of a whole block are tested
-# by one stacked Cholesky call.  Large enough that numpy's per-call cost
-# vanishes, small enough that the priors and posteriors of 16 rows stay
-# near 1 MB.
+# by one stacked Cholesky call.  128 steps make numpy's per-call cost
+# vanish; a block takes fewer, but at least one, where its buffers would
+# pass _BLOCK_BYTES.  At the default two harmonics (dim 6) that first
+# happens at 45 rows.
 _BLOCK_STEPS = 128
+_BLOCK_BYTES = 12 << 20
+
+
+def _block_steps(n_rows, dim):
+    """Steps per block for ``n_rows`` rows of ``dim`` states.  Per step
+    and row a block holds the prior and posterior states, (dim + 2) x
+    dim each, the noise matrix, and the stacked test's copy and Cholesky
+    factor of both covariances, dim x dim each: dim (7 dim + 4)
+    doubles."""
+    step_bytes = n_rows * dim * (7 * dim + 4) * 8
+    return max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // step_bytes))
 
 
 def kernel_cosine_weights(kernel_var, lengthscale, n_harmonics):
@@ -409,7 +422,8 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     # block, and half the process noise of each step of the block on the
     # diagonal; cov holds the covariances of states, post_means the
     # posterior means
-    states = np.empty((2, min(n, _BLOCK_STEPS), n_rows, dim + 2, dim))
+    block_steps = min(n, _block_steps(n_rows, dim))
+    states = np.empty((2, block_steps, n_rows, dim + 2, dim))
     states[0, :, :, dim] = p[:, dim]
     cov, post_means = states[..., :dim, :], states[1, :, :, dim + 1]
     block_noise = np.full(states.shape[1:3] + (dim, dim), -0.0)
@@ -515,8 +529,8 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     # have fired, and a floor that does not fire changes nothing.
     # Otherwise the block runs again, gated, from the state before it;
     # only that run can floor.
-    for start in range(0, n, _BLOCK_STEPS):
-        steps = min(n - start, _BLOCK_STEPS)
+    for start in range(0, n, block_steps):
+        steps = min(n - start, block_steps)
         block_noise_diag[:steps] = half_noise[start:start + steps, None]
         run_block(start, gated=False)
         if not _block_passes(cov[:, :steps]):

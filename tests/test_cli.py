@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import scipy
 
 from rssb.cli import ESTIMATES_HEADER, main
-from rssb.dsp import FilterSpec
+from rssb.dsp import FilterSpec, nominal_rate_hz
 from rssb.presets import example_scenario_path
 from rssb.simulator import RssTrace
 
@@ -119,6 +120,28 @@ def test_estimate_rejects_short_trace(tmp_path, capsys):
               "--out", str(tmp_path / "est.csv")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_dft_window_error_names_the_rate(tmp_path, capsys):
+    # one stamp 0.1 ms after its predecessor makes the inferred rate
+    # about 10 kHz, so a 30 s window outgrows n_dft
+    trace = simulate(tmp_path)
+    loaded = RssTrace.load_csv(trace)
+    times = loaded.times_s.copy()
+    times[100] = times[99] + 1e-4
+    RssTrace(times, loaded.channel_ids, loaded.values_db).save_csv(trace)
+    rate = nominal_rate_hz(times)
+    capsys.readouterr()
+    rc = run(["estimate", "--trace", str(trace), "--method", "dft",
+              "--out", str(tmp_path / "est.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "n_dft (2048) must be at least the window length" in err
+    # the dft's input is that trace resampled at the rate, and the dft
+    # names the rate it infers from the resampled grid
+    named = re.search(r"window_s=30\.0 at (\S+) Hz", err)
+    assert named and float(named[1]) == pytest.approx(rate, rel=1e-9)
 
 
 def test_estimate_writes_spectrogram(tmp_path):

@@ -50,6 +50,9 @@ def test_dc_gain_is_unity():
 def test_infeasible_specs_are_rejected():
     with pytest.raises(FilterDesignError, match="Nyquist"):
         design_lowpass(FilterSpec(), 6.0)
+    # the poles sit at z = 1 to rounding and the response is NaN
+    with pytest.raises(FilterDesignError, match="at 1000000000000.0 Hz"):
+        design_lowpass(FilterSpec(), 1e12)
     with pytest.raises(FilterDesignError, match="order must be 5"):
         FilterSpec(order=0)
 
@@ -62,10 +65,16 @@ def test_prototype_equals_scipy_ellipap_bit_for_bit():
 
 
 def test_design_equals_scipy_ellip_bit_for_bit():
+    # every rate from 6.01 Hz to 9 kHz meets the template; from 6.28 to
+    # 17.78 Hz section 0 takes a complex zero pair, elsewhere {-1, 0}
+    dense = np.geomspace(6.01, 9e3, 300).tolist()
+    section0_zeros_at_0 = set()
     for fs in (12.5, 25.0, 31.25, 50.0, 100.0,
-               6.01, 9.7, 20.48, 44.1, 173.9, 1000.0, 10000.0):
+               6.01, 9.7, 20.48, 44.1, 173.9, 1000.0, 10000.0, *dense):
         sos = signal.ellip(5, 0.05, 40.0, 2.0, fs=fs, output="sos")
         assert design_lowpass(FilterSpec(), fs).tobytes() == sos.tobytes(), fs
+        section0_zeros_at_0.add(bool(sos[0, 2] == 0))
+    assert section0_zeros_at_0 == {True, False}
 
 
 # the filter's fields, which must equal the template's, and every float

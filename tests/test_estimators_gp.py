@@ -1,6 +1,7 @@
 """Quasi-periodic frequency tracker checks."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import cache
@@ -15,7 +16,9 @@ from rssb.estimators import (DftConfig, EstimatorError, GpConfig, KfConfig,
                              dft_estimate, gp_estimate, gp_estimate_batch,
                              kernel_cosine_weights, kf_estimate)
 from rssb.estimators import gp as gp_module
-from rssb.estimators.gp import _block_passes, _recondition, _sigma_weights
+from rssb.estimators.gp import (_block_passes, _block_steps, _recondition,
+                                _sigma_weights)
+from rssb.evaluation import noise_std_for_snr
 from rssb.presets import bed_scenario
 from rssb.simulator import synthesize
 
@@ -496,6 +499,61 @@ def test_replayed_blocks_equal_checked_ones(monkeypatch, n, drops, n_rows):
         [n % 128] if n % 128 else [])
     for series, single in zip(got, want):
         assert_same_as_reference(series, single.f_hat_hz, single.aux)
+
+
+@cache
+def bed_rows_at_minus_18_db():
+    """Four seeds of a 40 s bed trace at -18 dB, as gp's input ``z``."""
+    scenario = bed_scenario(duration_s=40.0)
+    scenario = replace(scenario,
+                       noise_std_db=noise_std_for_snr(scenario, -18.0))
+    rows = []
+    for seed in range(4):
+        t, values = synthesize(scenario, seed=seed).for_channel(0)
+        rows.append(preprocess(values, FilterSpec(),
+                               scenario.sample_rate_hz)[1])
+    return t, np.array(rows)
+
+
+@pytest.mark.parametrize("meas_var", [1.0, 1e-12])
+def test_outputs_do_not_depend_on_block_length(monkeypatch, meas_var):
+    # at meas_var=1e-12 the floor fires in some blocks and not others,
+    # so replayed blocks start and end at every block length's bounds
+    t, rows = bed_rows_at_minus_18_db()
+    cfg = GpConfig(meas_var=meas_var)
+    want = gp_estimate_batch(t, rows, cfg)
+    fired = [s.aux["recondition_count"] for s in want]
+    assert all(fired) if meas_var < 1 else not any(fired)
+    for steps in (1, 5, 7, 64, 500):
+        monkeypatch.setattr(gp_module, "_block_steps",
+                            lambda n_rows, dim: steps)
+        for got, single in zip(gp_estimate_batch(t, rows, cfg), want):
+            assert np.array_equal(got.f_hat_hz, single.f_hat_hz), steps
+            assert np.array_equal(got.aux["final_cov"],
+                                  single.aux["final_cov"]), steps
+            assert (got.aux["recondition_count"]
+                    == single.aux["recondition_count"]), steps
+
+
+# tracemalloc peak of gp on one 130-sample row at n_harmonics=50: 14.2 MB
+# was measured, 77 MB with blocks of 128 steps at any size
+PEAK_BYTES_50_HARMONICS = 20e6
+
+
+def test_block_buffers_stay_within_a_byte_budget():
+    # the benchmark's shapes, dim 6 and up to 32 rows, keep 128 steps
+    assert _block_steps(32, 6) == 128
+    # and a block whose one step passes the budget still takes it
+    assert _block_steps(100, 300) == 1
+    t = np.arange(130) / FS
+    z = np.sin(2 * np.pi * 0.25 * t)
+    tracemalloc.start()
+    try:
+        gp_estimate(t, z, GpConfig(n_harmonics=50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BYTES_50_HARMONICS
 
 
 def test_mixed_floor_batch_equals_single_runs(monkeypatch):
