@@ -32,12 +32,11 @@ import scipy
 
 from . import __version__
 from .config import from_dict, to_dict
-from .dsp import FilterSpec
 from .estimators import EstimateSeries
 from .evaluation import (DEFAULT_SNR_TARGETS_DB, compute_metrics,
                          snr_estimate, snr_sweep, write_sweep_csv)
 from .figures import FIGURES
-from .pipeline import ESTIMATORS, estimate, spectral_input
+from .pipeline import ESTIMATORS, check_rate, estimate, spectral_input
 from .presets import PRESETS, preset_scenario
 from .simulator import (RssTrace, read_csv_columns, scenario_from_dict,
                         synthesize)
@@ -94,11 +93,9 @@ def _resolve_scenario(args):
 
 
 def _estimator_settings(args):
-    """Filter spec and per-method configs by section name, from --config
-    and --set; absent sections and fields take their defaults, and the
-    filter's must be the template's, the one every estimate uses."""
-    classes = {"filter": FilterSpec,
-               **{method: cls for method, (_, cls) in ESTIMATORS.items()}}
+    """Per-method configs by section name, from --config and --set;
+    absent sections and fields take their defaults."""
+    classes = {method: cls for method, (_, cls) in ESTIMATORS.items()}
     data = _config_data(args, {})
     unknown = sorted(set(data) - set(classes))
     if unknown:
@@ -139,6 +136,7 @@ def _pick_channel(trace, requested):
 
 def cmd_simulate(args):
     scenario = _resolve_scenario(args)
+    check_rate(scenario.sample_rate_hz)  # a trace no estimate can filter
     trace = synthesize(scenario)
     if len(trace.times_s) == 0:  # such a file would not load
         raise ValueError("the scenario draws no samples "
@@ -295,7 +293,7 @@ def build_parser():
                    help="channel id (default: first present)")
     p.add_argument("--method", choices=METHODS + ("all",), default="all")
     p.add_argument("--config", help="estimator settings JSON "
-                                    "(sections filter/dft/kf/gp)")
+                                    "(sections dft/kf/gp)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override an estimator setting")
     p.add_argument("--out", required=True, help="output estimates CSV")

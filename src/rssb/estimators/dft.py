@@ -2,9 +2,9 @@
 
 Each window of the mean-removed signal ``y`` is zero-padded to a fixed
 DFT length and the breathing rate read off as the frequency of the
-largest in-band PSD bin.  No taper is applied; the window advances by
-``hop_samples`` (one sample reproduces the reference configuration of
-a 30 s window with maximum overlap).
+largest in-band PSD bin.  No taper is applied, and a window starts at
+every sample: the reference configuration of a 30 s window with
+maximum overlap.
 
 Only the in-band bins are computed, as running sums: with
 w_k = exp(-2 pi i k / n_dft) and C_k[t] = sum_{u<t} y[u] w_k^(u - s0),
@@ -29,12 +29,12 @@ import numpy as np
 from ..dsp import is_uniform, nominal_rate_hz
 from .common import EstimateSeries, EstimatorError, check_finite, check_rows
 
-# Window starts per running sum: a block holds the ceil(512 / hop)
-# windows that start within 512 samples of its first one, so blocks
-# depend only on the window index and a row's estimates not on its
-# batch.  At the default 30 s window a block's sums and twiddle table
-# take at most 1.8 MB each.  On a bed row at hop 1, 1024 ran 15-25%
-# faster but raised the benchmark's peak RSS by 5.5 MB, 512 by 2.4 MB.
+# Window starts per running sum: a block holds the 512 windows that
+# start within 512 samples of its first one, so blocks depend only on
+# the window index and a row's estimates not on its batch.  At the
+# default 30 s window a block's sums and twiddle table take at most
+# 1.8 MB each.  On a bed row, 1024 ran 15-25% faster but raised the
+# benchmark's peak RSS by 5.5 MB, 512 by 2.4 MB.
 _SAMPLES_PER_SUM = 512
 
 
@@ -42,14 +42,14 @@ _SAMPLES_PER_SUM = 512
 class DftConfig:
     """Periodogram settings.
 
-    ``window_s`` is converted to samples with ceil(window_s * fs).
-    ``band_hz`` restricts the peak search; the DC bin is always
-    excluded.  Ties resolve toward the lower frequency.
+    ``window_s`` is converted to samples with ceil(window_s * fs), and a
+    window starts at every sample.  ``band_hz`` restricts the peak
+    search; the DC bin is always excluded.  Ties resolve toward the
+    lower frequency.
     """
 
     n_dft: int = 2048
     window_s: float = 30.0
-    hop_samples: int = 1
     band_hz: tuple[float, float] = (0.1, 1.25)
 
     def __post_init__(self):
@@ -58,8 +58,6 @@ class DftConfig:
             raise EstimatorError("n_dft must be at least 2")
         if self.window_s <= 0:
             raise EstimatorError("window_s must be positive")
-        if self.hop_samples < 1:
-            raise EstimatorError("hop_samples must be at least 1")
         if not 0 < self.band_hz[0] < self.band_hz[1]:
             raise EstimatorError("band_hz must satisfy 0 < low < high")
 
@@ -125,10 +123,9 @@ def dft_estimate_batch(times_s, rows, cfg: DftConfig = DftConfig()):
     band_freqs = freqs[bins]
 
     n_rows, n = y.shape
-    hop = cfg.hop_samples
-    starts = np.arange(0, n - nw + 1, hop)
-    per_sum = min(-(-_SAMPLES_PER_SUM // hop), len(starts))
-    span = (per_sum - 1) * hop + nw  # samples under one block's windows
+    starts = np.arange(n - nw + 1)
+    per_sum = min(_SAMPLES_PER_SUM, len(starts))
+    span = per_sum - 1 + nw  # samples under one block's windows
     # w_k^t for t < span, from the n_dft roots of unity, exact in phase
     roots = np.exp(-2j * np.pi * np.arange(cfg.n_dft) / cfg.n_dft)
     twiddle = roots[np.outer(np.arange(span), bins) % cfg.n_dft]
@@ -146,7 +143,7 @@ def dft_estimate_batch(times_s, rows, cfg: DftConfig = DftConfig()):
             np.multiply(row[starts[j]:starts[j] + m, None], twiddle[:m],
                         out=sums[1:m + 1])
             np.cumsum(sums[:m + 1], axis=0, out=sums[:m + 1])
-            spec = sums[nw:m + 1:hop] - sums[:m + 1 - nw:hop]
+            spec = sums[nw:m + 1] - sums[:m + 1 - nw]
             window_psd = np.abs(spec, out=psd[r, block])
             window_psd **= 2
             k = peak[r, block] = np.argmax(window_psd, axis=1)  # lower f wins

@@ -141,10 +141,10 @@ class GpConfig:
     A config whose tracker cannot be formed raises
     :class:`EstimatorError`: every float field must be finite; the top
     harmonic's initial variance must be a positive normal double, which
-    bounds ``n_harmonics`` at 149 at the default ``kernel_var``; the
-    kernel weights must be finite (:func:`kernel_cosine_weights`); and
-    ut_alpha**2 * (1 + ut_kappa), as the sigma weights form it, must be
-    positive and finite.
+    bounds ``n_harmonics`` at 149 at the default ``kernel_var``; and
+    the kernel weights must be finite (:func:`kernel_cosine_weights`).
+    The sigma points over the log-frequency are fixed
+    (:func:`_sigma_weights`).
     """
 
     n_harmonics: int = 2
@@ -155,9 +155,6 @@ class GpConfig:
     init_log_freq: float = math.log(15.0 / 60.0)
     init_log_freq_var: float = 0.02
     init_dc_var: float = math.sqrt(0.1)
-    ut_alpha: float = 0.1
-    ut_beta: float = 2.0
-    ut_kappa: float = 0.0
 
     def __post_init__(self):
         check_finite(self)
@@ -180,29 +177,19 @@ class GpConfig:
                 f"(2**n * n!) = {top_var!r}, not a positive normal double "
                 f"(at kernel_var=0.01, n_harmonics is at most 149)")
         kernel_cosine_weights(self.kernel_var, self.lengthscale, n)
-        spread = 1 + _unscented_lambda(self.ut_alpha, self.ut_kappa)
-        if not 0 < spread < math.inf:
-            raise EstimatorError(
-                f"ut_alpha={self.ut_alpha!r} and ut_kappa={self.ut_kappa!r} "
-                f"give ut_alpha**2 * (1 + ut_kappa) = {spread!r} as the "
-                f"sigma weights form it; it must be positive and finite")
 
 
-def _unscented_lambda(ut_alpha, ut_kappa):
-    """lambda = ut_alpha**2 * (1 + ut_kappa) - 1 of the scaled unscented
-    transform, inf where ut_alpha**2 overflows."""
-    try:
-        return ut_alpha ** 2 * (1 + ut_kappa) - 1
-    except OverflowError:
-        return math.inf
-
-
-def _sigma_weights(cfg: GpConfig):
-    """Scaled unscented weights for the one-dimensional sigma set."""
-    lam = _unscented_lambda(cfg.ut_alpha, cfg.ut_kappa)
+def _sigma_weights():
+    """gamma and the mean and covariance weights of the sigma points
+    [0, +gamma, -gamma] over the log-frequency: the scaled unscented
+    transform (Julier, ACC 2002) at alpha = 0.1, beta = 2 (optimal for a
+    Gaussian prior) and kappa = 0, the tracker's one configuration, with
+    lambda = alpha**2 (1 + kappa) - 1 and gamma = sqrt(1 + lambda)."""
+    alpha, beta, kappa = 0.1, 2.0, 0.0
+    lam = alpha ** 2 * (1 + kappa) - 1
     wm = np.array([lam / (1 + lam), 0.5 / (1 + lam), 0.5 / (1 + lam)])
     wc = wm.copy()
-    wc[0] += 1 - cfg.ut_alpha ** 2 + cfg.ut_beta
+    wc[0] += 1 - alpha ** 2 + beta
     return math.sqrt(1 + lam), wm, wc
 
 
@@ -308,7 +295,7 @@ def gp_estimate_batch(times_s, rows, cfg: GpConfig = GpConfig()):
     harmonics = np.arange(1, nh + 1)
 
     q0, qn = kernel_cosine_weights(cfg.kernel_var, cfg.lengthscale, nh)
-    gamma, wm, wc = _sigma_weights(cfg)
+    gamma, wm, wc = _sigma_weights()
     sigma_offsets = gamma * np.array([0.0, 1.0, -1.0])
 
     h_row = np.zeros(dim)

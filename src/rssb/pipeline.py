@@ -12,7 +12,8 @@ a batch (kf and gp step the rows together, dft sums each row's in-band
 bins over one shared twiddle table).
 """
 
-from .dsp import FilterSpec, is_uniform, preprocess, resample_uniform
+from .dsp import (FilterSpec, design_lowpass, is_uniform, preprocess,
+                  resample_uniform)
 from .estimators import (DftConfig, GpConfig, KfConfig, dft_estimate_batch,
                          gp_estimate_batch, kf_estimate_batch)
 
@@ -41,6 +42,13 @@ def check_methods(methods):
     repeated = sorted({m for m in names if names.count(m) > 1})
     if repeated:
         raise ValueError(f"repeated methods: {repeated}")
+
+
+def check_rate(fs):
+    """Raise FilterDesignError, a ValueError, unless the low-pass of
+    every method can be designed at ``fs``: at 6 Hz and below its
+    stopband edge is not below Nyquist."""
+    design_lowpass(FilterSpec(), fs)
 
 
 def spectral_input(times_s, rows, fs, y=None):

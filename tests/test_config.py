@@ -38,21 +38,17 @@ scenarios = st.builds(
     model=st.sampled_from(["exact", "frozen"]))
 filter_specs = st.just(FilterSpec())  # the template is the only spec
 dft_configs = st.builds(DftConfig, n_dft=st.integers(2, 2**16),
-                        window_s=positive, hop_samples=st.integers(1, 100),
-                        band_hz=increasing)
+                        window_s=positive, band_hz=increasing)
 kf_configs = st.builds(KfConfig, n_bins=st.integers(1, 500),
                        max_freq_hz=positive, process_var=positive,
                        meas_var=positive, init_cov=positive, amp_floor=finite)
 # GpConfig rejects a lengthscale below about 0.0374, where its kernel
-# weights overflow, and a ut_alpha**2 * (1 + ut_kappa) that is not
-# positive as the sigma weights form it, 1 + (that - 1): with ut_alpha
-# down to 1e-6, 1 + ut_kappa stays at least 0.5
+# weights overflow
 gp_configs = st.builds(
     GpConfig, n_harmonics=st.integers(1, 6), kernel_var=positive,
     lengthscale=st.floats(0.04, 1e6), freq_drift=non_negative,
     meas_var=positive, init_log_freq=finite, init_log_freq_var=positive,
-    init_dc_var=positive, ut_alpha=positive, ut_beta=finite,
-    ut_kappa=st.floats(-0.5, 1e6))
+    init_dc_var=positive)
 
 STRATEGIES = {
     LinkGeometry: links, ReflectorMotion: motions, MediumParams: media,

@@ -34,7 +34,7 @@ def dft_reference(y, cfg, fs=FS):
     band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
     band[0] = False
     band_idx = np.flatnonzero(band)
-    starts = np.arange(0, len(y) - nw + 1, cfg.hop_samples)
+    starts = np.arange(len(y) - nw + 1)
     psd = np.empty((len(starts), len(freqs)))
     f_hat = np.empty(len(starts))
     recon = np.empty(len(starts))
@@ -48,11 +48,6 @@ def dft_reference(y, cfg, fs=FS):
         phase = np.angle(spec[peak])
         recon[j] = amp * np.cos(2 * np.pi * f_hat[j] * (nw - 1) / fs + phase)
     return f_hat, recon, psd, freqs, amps
-
-
-def windows_per_sum(hop):
-    """Windows that share one running sum at ``hop``."""
-    return -(-_SAMPLES_PER_SUM // hop)
 
 
 def assert_matches_reference(series, y, cfg, fs=FS):
@@ -84,7 +79,7 @@ def tone(freq_hz, duration_s, amp=1.0, phase=0.0):
 
 def test_quarter_hz_tone_lands_on_nearest_bin():
     t, y = tone(0.25, 40.0)
-    series = dft_estimate(t, y, DftConfig(hop_samples=50))
+    series = dft_estimate(t, y)
     expected = 16 * FS / 2048
     assert expected == pytest.approx(0.244140625)
     assert np.allclose(series.f_hat_hz, expected)
@@ -93,14 +88,12 @@ def test_quarter_hz_tone_lands_on_nearest_bin():
 
 def test_estimates_start_after_one_full_window():
     t, y = tone(0.25, 35.0)
-    cfg = DftConfig(hop_samples=10)
-    series = dft_estimate(t, y, cfg)
-    nw = cfg.window_samples(FS)
+    series = dft_estimate(t, y)
+    nw = DftConfig().window_samples(FS)
     assert series.times_s[0] == pytest.approx(t[nw - 1])
-    expected_count = (len(y) - nw) // cfg.hop_samples + 1
+    expected_count = len(y) - nw + 1
     assert len(series) == expected_count
-    assert np.array_equal(series.aux["window_start_s"],
-                          t[::cfg.hop_samples][:expected_count])
+    assert np.array_equal(series.aux["window_start_s"], t[:expected_count])
 
 
 @pytest.mark.parametrize("fs", RATES_HZ)
@@ -127,8 +120,8 @@ def test_scale_invariance():
     t, y = tone(0.3, 40.0)
     rng = np.random.default_rng(2)
     y = y + rng.normal(0, 0.5, len(y))
-    a = dft_estimate(t, y, DftConfig(hop_samples=100))
-    b = dft_estimate(t, 37.5 * y, DftConfig(hop_samples=100))
+    a = dft_estimate(t, y)
+    b = dft_estimate(t, 37.5 * y)
     assert np.array_equal(a.f_hat_hz, b.f_hat_hz)
 
 
@@ -152,8 +145,6 @@ def test_config_validation():
     with pytest.raises(EstimatorError):
         DftConfig(window_s=0.0)
     with pytest.raises(EstimatorError):
-        DftConfig(hop_samples=0)
-    with pytest.raises(EstimatorError):
         DftConfig(band_hz=(0.5, 0.1))
     t, y = tone(0.25, 35.0)
     with pytest.raises(EstimatorError, match="n_dft"):
@@ -164,12 +155,12 @@ def test_second_harmonic_dominant_tone_wins():
     t, _ = tone(0.2, 40.0)
     y = (0.2 * np.sin(2 * np.pi * 0.2 * t)
          + 1.0 * np.sin(2 * np.pi * 0.4 * t))
-    series = dft_estimate(t, y, DftConfig(hop_samples=100))
+    series = dft_estimate(t, y)
     assert np.all(np.abs(series.f_hat_hz - 0.4) < FS / 2048)
 
 
 def test_white_noise_estimates_scatter_across_band():
-    cfg = DftConfig(hop_samples=200)
+    cfg = DftConfig()
     hits = []
     for seed in range(15):
         rng = np.random.default_rng(seed)
@@ -186,25 +177,24 @@ def test_white_noise_estimates_scatter_across_band():
 def test_spectrogram_aux_shapes():
     # bin-centered tone, so the single-bin reconstruction is clean
     t, y = tone(16 * FS / 2048, 35.0)
-    series = dft_estimate(t, y, DftConfig(hop_samples=30))
+    series = dft_estimate(t, y)
     psd = series.aux["psd"]
     freqs = series.aux["freq_hz"]
     assert psd.shape == (len(series), len(freqs))
     assert series.aux["sample_rate_hz"] == pytest.approx(FS)
     # the dominant-tone reconstruction tracks the input at the window end
     nw = DftConfig().window_samples(FS)
-    ends = np.arange(0, len(y) - nw + 1, 30) + nw - 1
+    ends = np.arange(len(y) - nw + 1) + nw - 1
     assert np.allclose(series.aux["recon"], y[ends], atol=0.05)
 
 
-@pytest.mark.parametrize("hop", [1, 7, 30])
-def test_matches_per_window_reference(hop):
-    cfg = DftConfig(hop_samples=hop)
+def test_matches_per_window_reference():
+    cfg = DftConfig()
     nw = cfg.window_samples(FS)
-    # one or two full running sums of windows plus a partial one
-    n_windows = (2 if hop == 1 else 1) * windows_per_sum(hop) + 5
-    n = nw + (n_windows - 1) * hop
-    rng = np.random.default_rng(hop)
+    # two full running sums of windows plus a partial one
+    n_windows = 2 * _SAMPLES_PER_SUM + 5
+    n = nw + n_windows - 1
+    rng = np.random.default_rng(1)
     t = np.arange(n) / FS
     y = np.sin(2 * np.pi * 0.27 * t) + rng.normal(0, 1.0, n)
     # alone, and as the first of three rows of a batch
@@ -216,19 +206,17 @@ def test_matches_per_window_reference(hop):
 
 
 @settings(max_examples=30, deadline=None)
-@given(fs=st.sampled_from(RATES_HZ), hop=st.integers(1, 40),
-       sums=st.integers(0, 2), past_boundary=st.integers(-2, 2),
+@given(fs=st.sampled_from(RATES_HZ), sums=st.integers(0, 2), past_boundary=st.integers(-2, 2),
        seed=st.integers(0, 2**32 - 1), n_dft=st.integers(1000, 3000))
 # one window whose recon (-0.0049) sits near a zero of its cosine, at a
 # peak amplitude of 0.895: off by 1.27e-14, 2.6 times 1e-12 of |recon|
-@example(fs=20.0, hop=1, sums=0, past_boundary=0, seed=448893, n_dft=1357)
-def test_sliding_sums_match_reference(fs, hop, sums, past_boundary, seed,
-                                      n_dft):
+@example(fs=20.0, sums=0, past_boundary=0, seed=448893, n_dft=1357)
+def test_sliding_sums_match_reference(fs, sums, past_boundary, seed, n_dft):
     nw = DftConfig().window_samples(fs)
     # DFT lengths that are not powers of two, at least one window long
-    cfg = DftConfig(n_dft=max(n_dft, nw), hop_samples=hop)
-    n_windows = max(1, sums * windows_per_sum(hop) + past_boundary)
-    n = nw + (n_windows - 1) * hop
+    cfg = DftConfig(n_dft=max(n_dft, nw))
+    n_windows = max(1, sums * _SAMPLES_PER_SUM + past_boundary)
+    n = nw + n_windows - 1
     rng = np.random.default_rng(seed)
     t = np.arange(n) / fs
     y = np.sin(2 * np.pi * 0.4 * t) + rng.normal(0, 2.0, n)
@@ -252,15 +240,15 @@ def test_low_snr_bed_traces_match_reference():
 
 
 @settings(max_examples=25, deadline=None)
-@given(n_rows=st.integers(1, 4), hop=st.integers(1, 40),
+@given(n_rows=st.integers(1, 4),
        n_windows=st.integers(1, 2 * _SAMPLES_PER_SUM + 5),
        seed=st.integers(0, 2**32 - 1))
-@example(n_rows=3, hop=1, n_windows=_SAMPLES_PER_SUM // 3 + 1, seed=0)
-def test_batch_rows_equal_single_runs(n_rows, hop, n_windows, seed):
-    # up to 4 rows, each summed in blocks of windows_per_sum(hop)
-    # windows, so the counts drawn fall on either side of a block boundary
-    cfg = DftConfig(hop_samples=hop)
-    n = cfg.window_samples(FS) + (n_windows - 1) * hop
+@example(n_rows=3, n_windows=_SAMPLES_PER_SUM // 3 + 1, seed=0)
+def test_batch_rows_equal_single_runs(n_rows, n_windows, seed):
+    # up to 4 rows, each summed in blocks of _SAMPLES_PER_SUM windows,
+    # so the counts drawn fall on either side of a block boundary
+    cfg = DftConfig()
+    n = cfg.window_samples(FS) + n_windows - 1
     rng = np.random.default_rng(seed)
     t = np.arange(n) / FS
     rows = rng.normal(0, 1, (n_rows, n)) + np.sin(2 * np.pi * 0.3 * t)

@@ -74,7 +74,7 @@ def gp_reference(times_s, z, cfg=GpConfig()):
     dim = 1 + lin_dim
     harmonics = np.arange(1, nh + 1)
     q0, qn = kernel_cosine_weights(cfg.kernel_var, cfg.lengthscale, nh)
-    gamma, wm, wc = _sigma_weights(cfg)
+    gamma, wm, wc = _sigma_weights()
     h_row = np.zeros(dim)
     h_row[1] = 1.0
     h_row[2::2] = 1.0
@@ -646,13 +646,10 @@ positive_fields = st.floats(1e-300, 1e300)
        lengthscale=positive_fields,
        freq_drift=st.just(0.0) | positive_fields, meas_var=positive_fields,
        init_log_freq=finite_fields, init_log_freq_var=positive_fields,
-       init_dc_var=positive_fields, ut_alpha=finite_fields,
-       ut_beta=finite_fields, ut_kappa=finite_fields,
-       seed=st.integers(0, 2**32 - 1))
+       init_dc_var=positive_fields, seed=st.integers(0, 2**32 - 1))
 @example(n_harmonics=149, kernel_var=0.01, lengthscale=0.0375,
          freq_drift=1e-4, meas_var=1.0, init_log_freq=-1.4,
-         init_log_freq_var=0.02, init_dc_var=0.3, ut_alpha=1e-8,
-         ut_beta=2.0, ut_kappa=0.0, seed=0)
+         init_log_freq_var=0.02, init_dc_var=0.3, seed=0)
 def test_any_config_runs_or_raises(seed, **fields):
     # a config either is rejected, or gp runs a short trace with finite
     # positive rates or raises that its state ran away; nothing else
