@@ -289,14 +289,13 @@ def test_sweep_rejects_bad_sizes(tmp_path, capsys, argv, message):
     (["estimate", "--set", "dftt.n_dft=4"], "dftt"),
     (["estimate", "--set", "dft.band_hz=[0.1]"], "dft.band_hz"),
     (["estimate", "--set", "gp.n_harmonics=1.5"], "gp.n_harmonics"),
-    (["estimate", "--set", "filter.order=1000000000"], "'filter'"),
     (["simulate", "--preset", "bed", "--set", "link.tx=[0,0,0]"], "link.tx"),
     (["simulate", "--preset", "bed", "--set", 'baseline_dbm="abc"'],
      "baseline_dbm"),
     (["simulate", "--preset", "bed", "--set", "duration_s=1" + "0" * 400],
      "duration_s"),
 ], ids=["unknown-field", "unknown-section", "short-pair", "fractional-int",
-        "filter-section", "long-pair", "string-number", "huge-int"])
+        "long-pair", "string-number", "huge-int"])
 def test_bad_settings_exit_2_with_one_line(tmp_path, capsys, argv, names):
     if argv[0] == "estimate":
         argv = [*argv, "--trace", str(simulate(tmp_path))]
@@ -307,6 +306,24 @@ def test_bad_settings_exit_2_with_one_line(tmp_path, capsys, argv, names):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert names in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["filter.stopband_atten_db=1e-300",
+                                     "filter.passband_ripple_db=1e300",
+                                     "filter.order=1000000000"])
+def test_estimate_exits_2_on_a_filter_it_cannot_design(tmp_path, capsys,
+                                                       setting):
+    # the low-pass is the fixed template: any filter setting is refused
+    # as an unknown section, before any design or estimate
+    trace = simulate(tmp_path, extra=("--set", "duration_s=20"))
+    capsys.readouterr()
+    out = tmp_path / "est.csv"
+    assert run(["estimate", "--trace", str(trace), "--method", "dft",
+                "--set", setting, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown section 'filter'")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
