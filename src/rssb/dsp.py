@@ -245,21 +245,28 @@ def resample_uniform(times_s, values, sample_rate_hz):
 def nominal_rate_hz(times_s):
     """Sample rate of ``times_s``: 1 / the median sampling interval.
 
-    Only the positive steps within 1.5 times the smallest one count, so
-    the gaps left by dropped samples do not: with half the samples
-    dropped, the median of all steps spans two sampling intervals and
-    would halve the rate.  Timestamps jittered by up to a tenth of a
-    step keep every step.  Rounded to 12 significant digits, which
-    drops the roundoff of the sample times: 60 s of ``np.arange(n) /
-    25.0`` reports 25.0, not 25.000000000000533, so a 30 s window spans
-    ceil(30 · 25) = 750 samples, not 751.
+    Only the positive steps within 1.5 times the smallest count, so drop
+    gaps do not halve the rate at drop_prob 0.5.  Rounded to 12
+    significant digits: 60 s of ``np.arange(n) / 25.0`` gives 25.0, not
+    25.000000000000533, and a 30 s window 750 samples, not 751.
+
+    A median positive step over 50 times the smallest gives no single
+    rate: ``ValueError``.  Jitter of a tenth of a step keeps steps over
+    0.8, so one stamp within 1% of a step after the one before it makes
+    the ratio over 80, and would read the rate 100 times too high; drops
+    alone pass 50 only on short traces (at drop_prob 0.95, 1 in 3000
+    draws of 200 samples).
     """
     dt = np.diff(np.asarray(times_s, dtype=float))
     dt = dt[dt > 0]
     if len(dt) == 0:
         raise ValueError("timestamps hold no increasing step to give a "
                          "sample rate")
-    return float(f"{1.0 / np.median(dt[dt <= 1.5 * dt.min()]):.12g}")
+    smallest, median = dt.min(), np.median(dt)
+    if median > 50 * smallest:
+        raise ValueError(f"timestamps give no single sample rate: median "
+                         f"step {median:.6g} s, smallest {smallest:.6g} s")
+    return float(f"{1.0 / np.median(dt[dt <= 1.5 * smallest]):.12g}")
 
 
 def is_uniform(times_s):

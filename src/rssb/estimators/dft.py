@@ -1,23 +1,22 @@
 """Sliding-window periodogram rate estimator.
 
-Each window of the mean-removed signal ``y`` is zero-padded to a fixed
-DFT length and the breathing rate read off as the frequency of the
-largest in-band PSD bin.  No taper is applied, and a window starts at
-every sample: the reference configuration of a 30 s window with
-maximum overlap.
+The breathing rate of each window of the mean-removed signal ``y`` is
+the frequency of its largest in-band PSD bin, with no taper.  A window
+starts at every sample (the reference 30 s window, maximum overlap), and
+the bins are those of a DFT spanning 65.536 s, round(fs · 2048 / 31.25)
+points at rate fs: 0.0153 Hz apart at any rate, 2048 points at 31.25 Hz.
 
 Only the in-band bins are computed, as running sums: with
 w_k = exp(-2 pi i k / n_dft) and C_k[t] = sum_{u<t} y[u] w_k^(u - s0),
 the window starting at s has spectrum w_k^-(s - s0) (C_k[s+nw] - C_k[s])
-at bin k.  This is the non-recursive form of the sliding DFT (Jacobsen
-& Lyons, "The sliding DFT", IEEE SP Magazine 20(2), 2003): each window
-is a difference of two sums, so rounding error does not grow from one
-window to the next as in the recursive update.  The sums restart at a
-window start every ``_SAMPLES_PER_SUM`` samples, so their error stays
-bounded on long traces.  The work is O(n · bins) per stream instead of
-one ``n_dft``-point FFT per window, and the psd needs no
-w_k^-(s - s0): only the peak bin is rotated, for the phase of
-``recon``.
+at bin k, also for windows longer than the grid.  This is the
+non-recursive form of the sliding DFT (Jacobsen & Lyons, "The sliding
+DFT", IEEE SP Magazine 20(2), 2003): each window is a difference of two
+sums, so rounding error does not grow from one window to the next as in
+the recursive update.  The sums restart at a window start every
+``_SAMPLES_PER_SUM`` samples, so their error stays bounded on long
+traces.  The work is O(n · bins) per stream, and the psd needs no
+w_k^-(s - s0): only the peak bin is rotated, for the phase of ``recon``.
 :func:`dft_estimate_batch` takes several streams sampled at the same
 times; :func:`dft_estimate` is the batch of one.
 """
@@ -43,19 +42,16 @@ class DftConfig:
     """Periodogram settings.
 
     ``window_s`` is converted to samples with ceil(window_s * fs), and a
-    window starts at every sample.  ``band_hz`` restricts the peak
-    search; the DC bin is always excluded.  Ties resolve toward the
-    lower frequency.
+    window starts at every sample; it may be longer than the 65.536 s
+    the DFT spans.  ``band_hz`` restricts the peak search; the DC bin is
+    always excluded.  Ties resolve toward the lower frequency.
     """
 
-    n_dft: int = 2048
     window_s: float = 30.0
     band_hz: tuple[float, float] = (0.1, 1.25)
 
     def __post_init__(self):
         check_finite(self)
-        if self.n_dft < 2:
-            raise EstimatorError("n_dft must be at least 2")
         if self.window_s <= 0:
             raise EstimatorError("window_s must be positive")
         if not 0 < self.band_hz[0] < self.band_hz[1]:
@@ -104,16 +100,13 @@ def dft_estimate_batch(times_s, rows, cfg: DftConfig = DftConfig()):
             "periodogram estimator requires uniform sampling; resample first")
     fs = nominal_rate_hz(times_s)
     nw = cfg.window_samples(fs)
-    window = f"{nw} samples, window_s={cfg.window_s!r} at {fs!r} Hz"
-    if cfg.n_dft < nw:
-        raise EstimatorError(f"n_dft ({cfg.n_dft}) must be at least the "
-                             f"window length ({window})")
     if len(times_s) < nw:
-        raise EstimatorError(
-            f"signal has {len(times_s)} samples but one window needs "
-            f"{window}; provide a longer trace")
+        raise EstimatorError(f"signal has {len(times_s)} samples but one "
+                             f"window needs {nw}, window_s={cfg.window_s!r} "
+                             f"at {fs!r} Hz; provide a longer trace")
 
-    freqs = np.fft.rfftfreq(cfg.n_dft, d=1.0 / fs)
+    n_dft = max(1, round(fs * 2048 / 31.25))  # 65.536 s: 2048 at 31.25 Hz
+    freqs = np.fft.rfftfreq(n_dft, d=1.0 / fs)
     band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
     band[0] = False
     if not np.any(band):
@@ -127,8 +120,8 @@ def dft_estimate_batch(times_s, rows, cfg: DftConfig = DftConfig()):
     per_sum = min(_SAMPLES_PER_SUM, len(starts))
     span = per_sum - 1 + nw  # samples under one block's windows
     # w_k^t for t < span, from the n_dft roots of unity, exact in phase
-    roots = np.exp(-2j * np.pi * np.arange(cfg.n_dft) / cfg.n_dft)
-    twiddle = roots[np.outer(np.arange(span), bins) % cfg.n_dft]
+    roots = np.exp(-2j * np.pi * np.arange(n_dft) / n_dft)
+    twiddle = roots[np.outer(np.arange(span), bins) % n_dft]
     sums = np.zeros((span + 1, len(bins)), dtype=complex)
 
     psd = np.empty((n_rows, len(starts), len(bins)))
@@ -149,7 +142,7 @@ def dft_estimate_batch(times_s, rows, cfg: DftConfig = DftConfig()):
             k = peak[r, block] = np.argmax(window_psd, axis=1)  # lower f wins
             # only the peak bin needs its phase: times w_k^-(s - s0)
             peak_spec[r, block] = (spec[np.arange(len(spec)), k]
-                                   * roots[-bins[k] * shift % cfg.n_dft])
+                                   * roots[-bins[k] * shift % n_dft])
     f_hat = band_freqs[peak]
     amp = 2 * np.abs(peak_spec) / nw
     phase = np.angle(peak_spec)

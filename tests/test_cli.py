@@ -3,8 +3,8 @@
 import contextlib
 import io
 import json
-import re
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rssb.cli import ESTIMATES_HEADER, main
-from rssb.dsp import nominal_rate_hz
 from rssb.presets import PRESETS, example_scenario_path
 from rssb.simulator import RssTrace
 
@@ -141,26 +140,40 @@ def test_estimate_rejects_short_trace(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_dft_window_error_names_the_rate(tmp_path, capsys):
-    # one stamp 0.1 ms after its predecessor makes the inferred rate
-    # about 10 kHz, so a 30 s window outgrows n_dft
+def test_trace_with_no_single_rate_exits_2(tmp_path, capsys):
+    # one stamp 0.1 ms after its predecessor would read the rate as about
+    # 10 kHz: every method refuses the trace at once and writes nothing
     trace = simulate(tmp_path)
     loaded = RssTrace.load_csv(trace)
     times = loaded.times_s.copy()
     times[100] = times[99] + 1e-4
     RssTrace(times, loaded.channel_ids, loaded.values_db).save_csv(trace)
-    rate = nominal_rate_hz(times)
-    capsys.readouterr()
-    rc = run(["estimate", "--trace", str(trace), "--method", "dft",
-              "--out", str(tmp_path / "est.csv")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "n_dft (2048) must be at least the window length" in err
-    # the dft's input is that trace resampled at the rate, and the dft
-    # names the rate it infers from the resampled grid
-    named = re.search(r"window_s=30\.0 at (\S+) Hz", err)
-    assert named and float(named[1]) == pytest.approx(rate, rel=1e-9)
+    files = sorted(tmp_path.iterdir())
+    for method in ("dft", "kf", "gp", "all"):
+        capsys.readouterr()
+        start = time.perf_counter()
+        rc = run(["estimate", "--trace", str(trace), "--method", method,
+                  "--out", str(tmp_path / "est.csv")])
+        assert rc == 2 and time.perf_counter() - start < 10
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: timestamps give no single sample rate: "
+                              "median step 0.032 s, smallest 0.0001 s")
+        assert sorted(tmp_path.iterdir()) == files
+
+
+@pytest.mark.parametrize("rate_hz", [100, 400])
+def test_traces_above_68_hz_estimate(tmp_path, rate_hz):
+    # the dft's grid spans 65.536 s at any rate, so a 30 s window fits
+    trace = simulate(tmp_path, extra=("--set", f"sample_rate_hz={rate_hz}",
+                                      "--set", "duration_s=35"))
+    est = tmp_path / "est.csv"
+    assert run(["estimate", "--trace", str(trace), "--method", "all",
+                "--out", str(est)]) == 0
+    _, rows = read_rows(est)
+    for method in ("dft", "kf", "gp"):
+        f_hat = [float(row[2]) for row in rows if row[1] == method]
+        assert f_hat and np.isfinite(f_hat).all()
 
 
 def test_estimate_writes_spectrogram(tmp_path):
@@ -286,7 +299,7 @@ def test_sweep_rejects_bad_sizes(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize("argv, names", [
     (["simulate", "--preset", "bed", "--set", "motion.breath_hz=0.3"],
      "motion.breath_hz"),
-    (["estimate", "--set", "dftt.n_dft=4"], "dftt"),
+    (["estimate", "--set", "dftt.window_s=4"], "dftt"),
     (["estimate", "--set", "dft.band_hz=[0.1]"], "dft.band_hz"),
     (["estimate", "--set", "gp.n_harmonics=1.5"], "gp.n_harmonics"),
     (["simulate", "--preset", "bed", "--set", "link.tx=[0,0,0]"], "link.tx"),
@@ -382,6 +395,14 @@ def test_estimate_manifest_config_reproduces_estimates(tmp_path, capsys):
                 "--out", str(third)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown section 'filter'")
+    assert err.count("\n") == 1 and not third.exists()
+    # one written before the dft's length followed the rate holds n_dft
+    settings.write_text(json.dumps({**config, "dft": {**config["dft"],
+                                                      "n_dft": 2048}}))
+    assert run(["estimate", "--trace", str(trace), "--config", str(settings),
+                "--out", str(third)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dft.n_dft" in err
     assert err.count("\n") == 1 and not third.exists()
 
 

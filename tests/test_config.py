@@ -37,8 +37,7 @@ scenarios = st.builds(
     drop_prob=st.floats(0.0, 0.99), seed=st.integers(0, 2**64),
     model=st.sampled_from(["exact", "frozen"]))
 filter_specs = st.just(FilterSpec())  # the template is the only spec
-dft_configs = st.builds(DftConfig, n_dft=st.integers(2, 2**16),
-                        window_s=positive, band_hz=increasing)
+dft_configs = st.builds(DftConfig, window_s=positive, band_hz=increasing)
 kf_configs = st.builds(KfConfig, n_bins=st.integers(1, 500),
                        max_freq_hz=positive, process_var=positive,
                        meas_var=positive, init_cov=positive, amp_floor=finite)
@@ -86,8 +85,8 @@ def test_absent_fields_take_the_dataclass_defaults():
      "link must be an object"),
     (DftConfig, {"band_hz": [0.1]}, "band_hz must be a list of 2 numbers"),
     (DftConfig, {"band_hz": [0.1, "x"]}, r"band_hz\[1\] must be a finite number"),
-    (DftConfig, {"n_dft": 1024.5}, "n_dft must be an integer"),
-    (DftConfig, {"n_dft": True}, "n_dft must be a finite number"),
+    (KfConfig, {"n_bins": 74.5}, "n_bins must be an integer"),
+    (KfConfig, {"n_bins": True}, "n_bins must be a finite number"),
     (KfConfig, {"meas_var": "1"}, "meas_var must be a finite number"),
     (KfConfig, {"meas_var": float("nan")}, "meas_var must be a finite number"),
     (GpConfig, {"kernel_var": float("inf")}, "kernel_var must be a finite"),
@@ -108,6 +107,6 @@ def test_bad_data_names_the_dotted_path(cls, data, message):
 
 
 def test_integral_numbers_are_integers():
-    cfg = from_dict(DftConfig, {"n_dft": 1024.0, "window_s": 20})
-    assert cfg.n_dft == 1024 and isinstance(cfg.n_dft, int)
-    assert cfg.window_s == 20.0 and isinstance(cfg.window_s, float)
+    cfg = from_dict(KfConfig, {"n_bins": 60.0, "max_freq_hz": 2})
+    assert cfg.n_bins == 60 and isinstance(cfg.n_bins, int)
+    assert cfg.max_freq_hz == 2.0 and isinstance(cfg.max_freq_hz, float)

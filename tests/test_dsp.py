@@ -270,6 +270,30 @@ def test_nominal_rate_needs_an_increasing_step():
         nominal_rate_hz([2.0, 2.0, 2.0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(fs=st.sampled_from([10.0, 31.25, 100.0, 400.0]),
+       n=st.integers(20, 4000), drop_prob=st.floats(0.0, 0.9),
+       jitter=st.floats(0.0, 0.1), seed=st.integers(0, 2**32 - 1),
+       moved=st.integers(1, 3), closeness=st.floats(1e-6, 0.01))
+def test_nominal_rate_refuses_only_steps_with_no_single_rate(
+        fs, n, drop_prob, jitter, seed, moved, closeness):
+    rng = np.random.default_rng(seed)
+    keep = rng.random(n) >= drop_prob
+    keep[:8] = True  # so moved stamps leave most steps whole
+    t = np.flatnonzero(keep) / fs
+    t = t + rng.uniform(-jitter, jitter, len(t)) / fs
+    dt = np.diff(t)
+    # drops and jitter alone: the rate of the rule before the refusal
+    assert nominal_rate_hz(t) == float(
+        f"{1.0 / np.median(dt[dt <= 1.5 * dt.min()]):.12g}")
+    # one to three stamps moved to within 1% of a step after the one
+    # before each: no single rate
+    for i in np.sort(rng.choice(np.arange(1, len(t)), moved, replace=False)):
+        t[i] = t[i - 1] + closeness / fs
+    with pytest.raises(ValueError, match="no single sample rate"):
+        nominal_rate_hz(t)
+
+
 def test_is_uniform():
     t = np.arange(50) / FS
     assert is_uniform(t)

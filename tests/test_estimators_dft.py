@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rssb.dsp import FilterSpec, preprocess
 from rssb.estimators import (DftConfig, EstimatorError, dft_estimate,
@@ -22,15 +23,22 @@ RATES_HZ = [10.0, 12.5, 15.0, 20.0, 25.0, 30.0, 31.25, 40.0, 50.0, 100.0]
 REFERENCE_RTOL = 1e-12
 
 
+def dft_length(fs):
+    """Points of the DFT at rate ``fs``: 65.536 s, 2048 at 31.25 Hz."""
+    return round(fs * 2048 / 31.25)
+
+
 def dft_reference(y, cfg, fs=FS):
     """One rfft per window over all bins, as first written, at the
-    known rate ``fs`` of the test signals.
+    known rate ``fs`` of the test signals.  A window longer than the
+    DFT would be truncated.
 
     Returns f_hat, recon, the full psd, its frequencies and each
     window's peak amplitude 2|X_peak|/nw.
     """
     nw = cfg.window_samples(fs)
-    freqs = np.fft.rfftfreq(cfg.n_dft, d=1.0 / fs)
+    n_dft = dft_length(fs)
+    freqs = np.fft.rfftfreq(n_dft, d=1.0 / fs)
     band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
     band[0] = False
     band_idx = np.flatnonzero(band)
@@ -40,7 +48,7 @@ def dft_reference(y, cfg, fs=FS):
     recon = np.empty(len(starts))
     amps = np.empty(len(starts))
     for j, s in enumerate(starts):
-        spec = np.fft.rfft(y[s:s + nw], cfg.n_dft)
+        spec = np.fft.rfft(y[s:s + nw], n_dft)
         psd[j] = np.abs(spec) ** 2
         peak = band_idx[np.argmax(psd[j, band_idx])]
         f_hat[j] = freqs[peak]
@@ -50,7 +58,30 @@ def dft_reference(y, cfg, fs=FS):
     return f_hat, recon, psd, freqs, amps
 
 
-def assert_matches_reference(series, y, cfg, fs=FS):
+def dtft_reference(y, cfg, fs=FS):
+    """:func:`dft_reference` from direct sums over each window's samples
+    at the in-band frequencies only, so windows may be longer than the
+    DFT.  The psd and frequencies it returns are the band's."""
+    nw = cfg.window_samples(fs)
+    n_dft = dft_length(fs)
+    freqs = np.fft.rfftfreq(n_dft, d=1.0 / fs)
+    band = np.flatnonzero((freqs >= cfg.band_hz[0])
+                          & (freqs <= cfg.band_hz[1]))
+    # exp(-2 pi i u k / n_dft), with u k reduced mod n_dft first
+    basis = np.exp(-2j * np.pi * (np.outer(np.arange(nw), band) % n_dft)
+                   / n_dft)
+    spec = sliding_window_view(y, nw) @ basis
+    psd = np.abs(spec) ** 2
+    peak = np.argmax(psd, axis=1)
+    peak_spec = spec[np.arange(len(spec)), peak]
+    f_hat = freqs[band][peak]
+    amps = 2 * np.abs(peak_spec) / nw
+    recon = amps * np.cos(2 * np.pi * f_hat * (nw - 1) / fs
+                          + np.angle(peak_spec))
+    return f_hat, recon, psd, freqs[band], amps
+
+
+def assert_matches_reference(series, y, cfg, fs=FS, reference=dft_reference):
     """``f_hat`` and the band's frequencies equal the reference's; psd
     lies within ``REFERENCE_RTOL`` of its largest magnitude, and each
     window's recon within ``REFERENCE_RTOL`` of that window's peak
@@ -60,7 +91,7 @@ def assert_matches_reference(series, y, cfg, fs=FS):
     with it: a window whose recon sits near a zero of its cosine has an
     error of the amplitude's size, not of the recon's.
     """
-    f_hat, recon, psd, freqs, amps = dft_reference(y, cfg, fs)
+    f_hat, recon, psd, freqs, amps = reference(y, cfg, fs)
     band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
     assert np.array_equal(series.f_hat_hz, f_hat)
     assert np.array_equal(series.aux["freq_hz"], freqs[band])
@@ -100,7 +131,7 @@ def test_estimates_start_after_one_full_window():
 def test_window_spans_ceil_of_window_s_times_the_rate(fs):
     # 1 / the median step of np.arange(n) / fs is off by roundoff (above
     # 25 at 25 Hz); the window must still span ceil(30 s * fs) samples.
-    cfg = DftConfig(n_dft=4096)
+    cfg = DftConfig()
     nw = int(np.ceil(cfg.window_s * fs))
     n = int(32 * fs)
     t = np.arange(n) / fs
@@ -137,18 +168,16 @@ def test_band_without_bins_is_an_error():
     t, y = tone(0.25, 35.0)
     with pytest.raises(EstimatorError, match="band"):
         dft_estimate(t, y, DftConfig(band_hz=(0.001, 0.002)))
+    # a sample every 200 s: a DFT over 65.536 s has one point, no bin
+    with pytest.raises(EstimatorError, match="band"):
+        dft_estimate(200.0 * np.arange(10), y[:10])
 
 
 def test_config_validation():
     with pytest.raises(EstimatorError):
-        DftConfig(n_dft=1)
-    with pytest.raises(EstimatorError):
         DftConfig(window_s=0.0)
     with pytest.raises(EstimatorError):
         DftConfig(band_hz=(0.5, 0.1))
-    t, y = tone(0.25, 35.0)
-    with pytest.raises(EstimatorError, match="n_dft"):
-        dft_estimate(t, y, DftConfig(n_dft=512))
 
 
 def test_second_harmonic_dominant_tone_wins():
@@ -206,15 +235,16 @@ def test_matches_per_window_reference():
 
 
 @settings(max_examples=30, deadline=None)
-@given(fs=st.sampled_from(RATES_HZ), sums=st.integers(0, 2), past_boundary=st.integers(-2, 2),
-       seed=st.integers(0, 2**32 - 1), n_dft=st.integers(1000, 3000))
-# one window whose recon (-0.0049) sits near a zero of its cosine, at a
-# peak amplitude of 0.895: off by 1.27e-14, 2.6 times 1e-12 of |recon|
-@example(fs=20.0, sums=0, past_boundary=0, seed=448893, n_dft=1357)
-def test_sliding_sums_match_reference(fs, sums, past_boundary, seed, n_dft):
-    nw = DftConfig().window_samples(fs)
-    # DFT lengths that are not powers of two, at least one window long
-    cfg = DftConfig(n_dft=max(n_dft, nw))
+@given(fs=st.sampled_from(RATES_HZ), sums=st.integers(0, 2),
+       past_boundary=st.integers(-2, 2), seed=st.integers(0, 2**32 - 1))
+# window 79's recon (-0.00029) sits near a zero of its cosine, at a peak
+# amplitude of 1.10: off by 1.56e-14, 53 times 1e-12 of |recon|
+@example(fs=20.0, sums=1, past_boundary=0, seed=55)
+def test_sliding_sums_match_reference(fs, sums, past_boundary, seed):
+    # DFT lengths that are not powers of two, from 655 points at 10 Hz
+    # to 6554 at 100 Hz
+    cfg = DftConfig()
+    nw = cfg.window_samples(fs)
     n_windows = max(1, sums * _SAMPLES_PER_SUM + past_boundary)
     n = nw + n_windows - 1
     rng = np.random.default_rng(seed)
@@ -223,6 +253,20 @@ def test_sliding_sums_match_reference(fs, sums, past_boundary, seed, n_dft):
     series = dft_estimate(t, y, cfg)
     assert len(series) == n_windows
     assert_matches_reference(series, y, cfg, fs)
+
+
+def test_window_longer_than_the_dft_matches_direct_sums():
+    # 70 s windows, 2188 samples at 31.25 Hz against a 2048-point DFT:
+    # every bin still sums the whole window
+    cfg = DftConfig(window_s=70.0)
+    n_windows = _SAMPLES_PER_SUM + 5
+    n = cfg.window_samples(FS) + n_windows - 1
+    rng = np.random.default_rng(3)
+    t = np.arange(n) / FS
+    y = np.sin(2 * np.pi * 0.27 * t) + rng.normal(0, 1.0, n)
+    series = dft_estimate(t, y, cfg)
+    assert len(series) == n_windows
+    assert_matches_reference(series, y, cfg, reference=dtft_reference)
 
 
 def test_low_snr_bed_traces_match_reference():
