@@ -32,7 +32,7 @@ import scipy
 
 from . import __version__
 from .config import from_dict, to_dict
-from .estimators import EstimateSeries
+from .estimators import EstimateSeries, dft_spectrogram
 from .evaluation import (DEFAULT_SNR_TARGETS_DB, compute_metrics,
                          snr_estimate, snr_sweep, write_sweep_csv)
 from .figures import FIGURES
@@ -159,7 +159,8 @@ def cmd_estimate(args):
     methods = METHODS if args.method == "all" else (args.method,)
     if args.spectrogram and "dft" not in methods:  # before anything is written
         raise ValueError("--spectrogram requires the dft method")
-    results = estimate(t, values, trace.nominal_rate_hz(), methods, settings)
+    fs = trace.nominal_rate_hz()
+    results = estimate(t, values, fs, methods, settings)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -171,13 +172,14 @@ def cmd_estimate(args):
                                  f"{series.f_hat_hz[k]:.9g}"])
     outputs = [args.out]
 
-    if args.spectrogram:
-        series = results["dft"]  # psd holds the search band only
+    if args.spectrogram:  # the search band only, on the dft's input grid
+        grid, (y,) = spectral_input(t, [values], fs)
+        ends, freqs, psd = dft_spectrogram(grid, y, settings["dft"])
         with open(args.spectrogram, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["window_end_s", "f_hz", "psd"])
-            for k, end_s in enumerate(series.times_s):
-                for f, p in zip(series.aux["freq_hz"], series.aux["psd"][k]):
+            for end_s, window_psd in zip(ends, psd):
+                for f, p in zip(freqs, window_psd):
                     writer.writerow([f"{end_s:.6f}", f"{f:.9g}", f"{p:.9g}"])
         outputs.append(args.spectrogram)
 

@@ -19,9 +19,15 @@ traces.  The work is O(n · bins) per stream, and the psd needs no
 w_k^-(s - s0): only the peak bin is rotated, for the phase of ``recon``.
 :func:`dft_estimate_batch` takes several streams sampled at the same
 times; :func:`dft_estimate` is the batch of one.
+
+The psd of a block of windows is formed in one buffer that the next
+block overwrites, so an estimate holds O(windows) outputs and
+O(block · bins) of work, never the (windows × bins) spectrogram;
+:func:`dft_spectrogram` runs the same blocks and keeps their psd.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,10 +81,11 @@ def dft_estimate(times_s, y, cfg: DftConfig = DftConfig()) -> EstimateSeries:
     -------
     EstimateSeries
         One estimate per window, stamped at the window's last sample.
-        ``aux`` carries the spectrogram of the search band (``psd``,
-        one row per window, and its ``freq_hz``; bins outside
-        ``band_hz`` are not kept) and the per-window dominant-tone
-        reconstruction (``recon``), evaluated at the window end.
+        ``aux`` carries the frequencies of the search band (``freq_hz``;
+        bins outside ``band_hz`` are not computed) and the per-window
+        dominant-tone reconstruction (``recon``), evaluated at the
+        window end.  The psd is not kept: :func:`dft_spectrogram`
+        returns it.
     """
     return dft_estimate_batch(times_s, [y], cfg)[0]
 
@@ -89,9 +96,68 @@ def dft_estimate_batch(times_s, rows, cfg: DftConfig = DftConfig()):
     Every row shares one table of in-band twiddle factors, and each
     row's running sums restart at the same windows, so each row's
     series is bit for bit the one :func:`dft_estimate` gives on that
-    row alone; the rows' ``psd`` arrays are views into one
-    (rows, windows, bins) array.
+    row alone.
     """
+    plan = _plan(times_s, rows, cfg)
+    n_rows = len(plan.y)
+    peak = np.empty((n_rows, plan.n_windows), dtype=np.intp)
+    peak_spec = np.empty((n_rows, plan.n_windows), dtype=complex)
+    for r, block, spec, psd in _block_spectra(plan):
+        k = peak[r, block] = np.argmax(psd, axis=1)  # lower f wins
+        # only the peak bin needs its phase: times w_k^-(s - s0)
+        shift = np.arange(len(spec))
+        peak_spec[r, block] = (spec[shift, k]
+                               * plan.roots[-plan.bins[k] * shift
+                                            % plan.n_dft])
+    nw, fs = plan.nw, plan.fs
+    f_hat = plan.freq_hz[peak]
+    amp = 2 * np.abs(peak_spec) / nw
+    phase = np.angle(peak_spec)
+    recon = amp * np.cos(2 * np.pi * f_hat * (nw - 1) / fs + phase)
+
+    starts = np.arange(plan.n_windows)
+    return [EstimateSeries(
+        method="dft", times_s=plan.times_s[starts + nw - 1],
+        f_hat_hz=f_hat[r],
+        aux={"freq_hz": plan.freq_hz, "recon": recon[r],
+             "window_start_s": plan.times_s[starts], "sample_rate_hz": fs},
+    ) for r in range(n_rows)]
+
+
+def dft_spectrogram(times_s, y, cfg: DftConfig = DftConfig()):
+    """The in-band psd of every sliding window of ``y``.
+
+    Takes what :func:`dft_estimate` takes and runs the same sums, so
+    each window's largest psd bin is that window's estimate.  Returns
+    ``(window_end_s, freq_hz, psd)``: the last sample time of each
+    window, the frequencies of the search band, and a (windows, bins)
+    array, the only part of the dft whose memory grows as windows times
+    bins.
+    """
+    plan = _plan(times_s, [y], cfg)
+    psd = np.empty((plan.n_windows, len(plan.bins)))
+    for _, block, _, block_psd in _block_spectra(plan):
+        psd[block] = block_psd
+    return plan.times_s[plan.nw - 1:].copy(), plan.freq_hz, psd
+
+
+class _Plan(NamedTuple):
+    """Checked rows and what their windows and band need."""
+
+    times_s: np.ndarray
+    y: np.ndarray  # (rows, samples)
+    fs: float
+    nw: int  # samples per window
+    n_windows: int  # one starts at every sample
+    n_dft: int
+    bins: np.ndarray  # DFT indices of the band, contiguous and increasing
+    freq_hz: np.ndarray  # their frequencies
+    roots: np.ndarray  # the n_dft roots of unity, w^t = roots[t % n_dft]
+
+
+def _plan(times_s, rows, cfg):
+    """Check ``rows`` sampled at ``times_s`` and lay out their windows and
+    search band; raises EstimatorError when no estimate can be made."""
     times_s, y = check_rows(times_s, rows)
     if len(times_s) < 2:
         raise EstimatorError("signal too short")
@@ -113,43 +179,36 @@ def dft_estimate_batch(times_s, rows, cfg: DftConfig = DftConfig()):
         raise EstimatorError("search band contains no DFT bins")
     band_idx = np.flatnonzero(band)
     bins = np.arange(band_idx[0], band_idx[-1] + 1)  # freqs increase
-    band_freqs = freqs[bins]
-
-    n_rows, n = y.shape
-    starts = np.arange(n - nw + 1)
-    per_sum = min(_SAMPLES_PER_SUM, len(starts))
-    span = per_sum - 1 + nw  # samples under one block's windows
-    # w_k^t for t < span, from the n_dft roots of unity, exact in phase
     roots = np.exp(-2j * np.pi * np.arange(n_dft) / n_dft)
-    twiddle = roots[np.outer(np.arange(span), bins) % n_dft]
-    sums = np.zeros((span + 1, len(bins)), dtype=complex)
+    return _Plan(times_s, y, fs, nw, len(times_s) - nw + 1, n_dft, bins,
+                 freqs[bins], roots)
 
-    psd = np.empty((n_rows, len(starts), len(bins)))
-    peak = np.empty((n_rows, len(starts)), dtype=np.intp)
-    peak_spec = np.empty((n_rows, len(starts)), dtype=complex)
-    for j in range(0, len(starts), per_sum):
-        block = slice(j, j + per_sum)
-        shift = starts[block] - starts[j]
-        m = shift[-1] + nw  # samples under the block's windows
+
+def _block_spectra(plan):
+    """Yield ``(r, block, spec, psd)`` for each block of window starts
+    and each row ``r``: the slice of the block's windows, their in-band
+    spectra w_k^(s - s0) X_k (phase unrotated, s0 the block's first
+    start) and their psd, (windows, bins) each.  ``spec`` and ``psd``
+    are buffers that the next item overwrites.
+    """
+    y, nw, n_windows = plan.y, plan.nw, plan.n_windows
+    n_dft, bins = plan.n_dft, plan.bins
+    per_sum = min(_SAMPLES_PER_SUM, n_windows)
+    span = per_sum - 1 + nw  # samples under one block's windows
+    # w_k^t for t < span, exact in phase
+    twiddle = plan.roots[np.outer(np.arange(span), bins) % n_dft]
+    sums = np.zeros((span + 1, len(bins)), dtype=complex)
+    spec = np.empty((per_sum, len(bins)), dtype=complex)
+    psd = np.empty((per_sum, len(bins)))
+    for j in range(0, n_windows, per_sum):
+        count = min(per_sum, n_windows - j)  # windows in the block
+        m = count - 1 + nw  # samples under them
+        spec_j, psd_j = spec[:count], psd[:count]
         for r, row in enumerate(y):
             # sums[0] stays 0, so sums[t] is C_k[t]
-            np.multiply(row[starts[j]:starts[j] + m, None], twiddle[:m],
-                        out=sums[1:m + 1])
+            np.multiply(row[j:j + m, None], twiddle[:m], out=sums[1:m + 1])
             np.cumsum(sums[:m + 1], axis=0, out=sums[:m + 1])
-            spec = sums[nw:m + 1] - sums[:m + 1 - nw]
-            window_psd = np.abs(spec, out=psd[r, block])
-            window_psd **= 2
-            k = peak[r, block] = np.argmax(window_psd, axis=1)  # lower f wins
-            # only the peak bin needs its phase: times w_k^-(s - s0)
-            peak_spec[r, block] = (spec[np.arange(len(spec)), k]
-                                   * roots[-bins[k] * shift % n_dft])
-    f_hat = band_freqs[peak]
-    amp = 2 * np.abs(peak_spec) / nw
-    phase = np.angle(peak_spec)
-    recon = amp * np.cos(2 * np.pi * f_hat * (nw - 1) / fs + phase)
-
-    return [EstimateSeries(
-        method="dft", times_s=times_s[starts + nw - 1], f_hat_hz=f_hat[r],
-        aux={"psd": psd[r], "freq_hz": band_freqs, "recon": recon[r],
-             "window_start_s": times_s[starts], "sample_rate_hz": fs},
-    ) for r in range(n_rows)]
+            np.subtract(sums[nw:m + 1], sums[:m + 1 - nw], out=spec_j)
+            np.abs(spec_j, out=psd_j)
+            psd_j **= 2
+            yield r, slice(j, j + count), spec_j, psd_j

@@ -193,11 +193,11 @@ def _noise_std(p_sig, snr_db):
 
 # Cells per unit of sweep work.  A worker holds one method's estimate
 # series of every cell of a unit until it has scored them, so this bounds
-# its memory: a unit of 32 bed cells peaks at 68.4 MB under tracemalloc,
-# most of it dft's spectrograms (78.9 MB if the series of all three
-# methods are held until scored).  kf runs its covariance recursion
-# once per drop-free time grid in each worker process and reuses it
-# across units.
+# its memory: a unit of 32 bed cells peaks at 26.7 MB under tracemalloc,
+# 23.2 MB for kf alone (its states and its retained gain table), 21.9 MB
+# for gp and 11.5 MB for dft, which keeps no spectrogram.  kf runs its
+# covariance recursion once per drop-free time grid in each worker
+# process and reuses it across units.
 _MAX_CHUNK_CELLS = 32
 
 

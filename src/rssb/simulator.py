@@ -119,7 +119,8 @@ class RssTrace:
     def nominal_rate_hz(self):
         """Sampling rate of the first channel, robust to drops
         (:func:`rssb.dsp.nominal_rate_hz`)."""
-        t, _ = self.for_channel(self.channels()[0])
+        channels = self.channels()
+        t = self.for_channel(channels[0])[0] if channels else ()
         if len(t) < 2:
             raise ValueError("trace too short to infer a sampling rate")
         return nominal_rate_hz(t)

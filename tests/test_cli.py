@@ -188,6 +188,15 @@ def test_estimate_writes_spectrogram(tmp_path):
     assert len(rows) > 100
     manifest = json.loads((tmp_path / "est.csv.manifest.json").read_text())
     assert str(spec) in manifest["outputs"]
+    # each window's largest psd lies at that window's dft estimate
+    peaks = {}
+    for end_s, f_hz, psd in rows:
+        if end_s not in peaks or float(psd) > peaks[end_s][1]:
+            peaks[end_s] = (f_hz, float(psd))
+    _, estimates = read_rows(est)
+    assert len(peaks) == len(estimates)
+    for end_s, method, f_hat in estimates:
+        assert peaks[end_s][0] == f_hat
 
 
 def test_spectrogram_needs_dft(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Sliding-window periodogram estimator checks."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from rssb import estimate
 from rssb.dsp import FilterSpec, preprocess
 from rssb.estimators import (DftConfig, EstimatorError, dft_estimate,
-                             dft_estimate_batch)
+                             dft_estimate_batch, dft_spectrogram)
 from rssb.estimators.dft import _SAMPLES_PER_SUM
 from rssb.evaluation import noise_std_for_snr
 from rssb.presets import bed_scenario
@@ -81,11 +83,12 @@ def dtft_reference(y, cfg, fs=FS):
     return f_hat, recon, psd, freqs[band], amps
 
 
-def assert_matches_reference(series, y, cfg, fs=FS, reference=dft_reference):
-    """``f_hat`` and the band's frequencies equal the reference's; psd
-    lies within ``REFERENCE_RTOL`` of its largest magnitude, and each
-    window's recon within ``REFERENCE_RTOL`` of that window's peak
-    amplitude.
+def assert_matches_reference(series, t, y, cfg, fs=FS,
+                             reference=dft_reference):
+    """``f_hat`` and the band's frequencies equal the reference's; the
+    psd of :func:`dft_spectrogram` on ``t`` and ``y`` lies within
+    ``REFERENCE_RTOL`` of its largest magnitude, and each window's recon
+    within ``REFERENCE_RTOL`` of that window's peak amplitude.
 
     The amplitude bounds |recon|, and the rounding of the phase scales
     with it: a window whose recon sits near a zero of its cosine has an
@@ -95,9 +98,12 @@ def assert_matches_reference(series, y, cfg, fs=FS, reference=dft_reference):
     band = (freqs >= cfg.band_hz[0]) & (freqs <= cfg.band_hz[1])
     assert np.array_equal(series.f_hat_hz, f_hat)
     assert np.array_equal(series.aux["freq_hz"], freqs[band])
+    ends, spectrogram_freqs, spectrogram = dft_spectrogram(t, y, cfg)
+    assert np.array_equal(ends, series.times_s)
+    assert np.array_equal(spectrogram_freqs, freqs[band])
     psd = psd[:, band]
-    assert series.aux["psd"].shape == psd.shape
-    assert (np.max(np.abs(series.aux["psd"] - psd))
+    assert spectrogram.shape == psd.shape
+    assert (np.max(np.abs(spectrogram - psd))
             <= REFERENCE_RTOL * np.max(psd))
     assert np.all(np.abs(series.aux["recon"] - recon)
                   <= REFERENCE_RTOL * amps)
@@ -207,8 +213,10 @@ def test_spectrogram_aux_shapes():
     # bin-centered tone, so the single-bin reconstruction is clean
     t, y = tone(16 * FS / 2048, 35.0)
     series = dft_estimate(t, y)
-    psd = series.aux["psd"]
-    freqs = series.aux["freq_hz"]
+    assert "psd" not in series.aux  # only dft_spectrogram keeps it
+    ends, freqs, psd = dft_spectrogram(t, y)
+    assert np.array_equal(ends, series.times_s)
+    assert np.array_equal(freqs, series.aux["freq_hz"])
     assert psd.shape == (len(series), len(freqs))
     assert series.aux["sample_rate_hz"] == pytest.approx(FS)
     # the dominant-tone reconstruction tracks the input at the window end
@@ -231,7 +239,7 @@ def test_matches_per_window_reference():
     for z, series in [(y, dft_estimate(t, y, cfg)),
                       *zip(rows, dft_estimate_batch(t, rows, cfg))]:
         assert len(series) == n_windows
-        assert_matches_reference(series, z, cfg)
+        assert_matches_reference(series, t, z, cfg)
 
 
 @settings(max_examples=30, deadline=None)
@@ -252,7 +260,7 @@ def test_sliding_sums_match_reference(fs, sums, past_boundary, seed):
     y = np.sin(2 * np.pi * 0.4 * t) + rng.normal(0, 2.0, n)
     series = dft_estimate(t, y, cfg)
     assert len(series) == n_windows
-    assert_matches_reference(series, y, cfg, fs)
+    assert_matches_reference(series, t, y, cfg, fs)
 
 
 def test_window_longer_than_the_dft_matches_direct_sums():
@@ -266,7 +274,7 @@ def test_window_longer_than_the_dft_matches_direct_sums():
     y = np.sin(2 * np.pi * 0.27 * t) + rng.normal(0, 1.0, n)
     series = dft_estimate(t, y, cfg)
     assert len(series) == n_windows
-    assert_matches_reference(series, y, cfg, reference=dtft_reference)
+    assert_matches_reference(series, t, y, cfg, reference=dtft_reference)
 
 
 def test_low_snr_bed_traces_match_reference():
@@ -280,7 +288,7 @@ def test_low_snr_bed_traces_match_reference():
     for seed in range(8):
         t, values = synthesize(noisy, seed=seed).for_channel(0)
         y, _ = preprocess(values, FilterSpec(), fs)
-        assert_matches_reference(dft_estimate(t, y, cfg), y, cfg, fs)
+        assert_matches_reference(dft_estimate(t, y, cfg), t, y, cfg, fs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -303,8 +311,28 @@ def test_batch_rows_equal_single_runs(n_rows, n_windows, seed):
         assert len(series) == n_windows
         assert np.array_equal(series.times_s, single.times_s)
         assert np.array_equal(series.f_hat_hz, single.f_hat_hz)
-        for key in ("psd", "recon", "freq_hz", "window_start_s"):
+        for key in ("recon", "freq_hz", "window_start_s"):
             assert np.array_equal(series.aux[key], single.aux[key])
+        # the row's spectrogram peaks where its batch estimates lie
+        _, freqs, psd = dft_spectrogram(t, y, cfg)
+        assert np.array_equal(series.f_hat_hz,
+                              freqs[np.argmax(psd, axis=1)])
+
+
+def test_estimate_memory_scales_with_the_windows():
+    # a 2 h bed trace: 224 063 windows of 75 bins, whose psd alone would
+    # take 600 bytes a window; the filtered input, the estimates and the
+    # block's work take about 110
+    scenario = bed_scenario(duration_s=7200.0)
+    t, values = synthesize(scenario, seed=1).for_channel(0)
+    tracemalloc.start()
+    try:
+        series = estimate(t, values, scenario.sample_rate_hz, ("dft",))["dft"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 224_063
+    assert peak < 160 * len(series)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -194,6 +194,18 @@ def test_heavy_drops_keep_the_sample_rate(drop_prob):
         assert synthesize(s).nominal_rate_hz() == s.sample_rate_hz
 
 
+def test_trace_too_short_for_a_rate_is_refused():
+    empty = RssTrace(np.empty(0), np.empty(0, dtype=int), np.empty(0))
+    one = RssTrace(np.zeros(1), np.zeros(1, dtype=int), np.zeros(1))
+    # 20 samples drawn at drop_prob 0.95: seed 0 keeps none of them
+    s = bed_scenario(duration_s=20 / 31.25, drop_prob=0.95, seed=0)
+    dropped = synthesize(s)
+    assert len(dropped.times_s) == 0
+    for trace in (empty, one, dropped):
+        with pytest.raises(ValueError, match="too short to infer"):
+            trace.nominal_rate_hz()
+
+
 def test_trace_accessors():
     trace = synthesize(bed_scenario(duration_s=2.0,
                                     channels_hz=CHANNELS_HZ[:3]))
