@@ -19,9 +19,8 @@ replaced within rounding (a tolerance the tests pin), not bit for bit.
 streams sampled at the same times and steps all their states together,
 gains and states in one pass over blocks of steps; :func:`kf_estimate`
 is the batch of one.  The gains of the last drop-free grid are also
-kept, when they fit a fixed byte budget, so later calls on the same grid
-and config reuse them.  The reuse is per process: each worker of a
-parallel sweep fills its own.
+kept, so later calls on the same grid and config reuse them.  The reuse
+is per process: each worker of a parallel sweep fills its own.
 """
 
 from dataclasses import dataclass
@@ -39,16 +38,9 @@ from .common import EstimateSeries, EstimatorError, check_finite, check_rows
 # 5 MB.
 _BLOCK_STEPS = 128
 
-# Largest gain table retained, in bytes: 27 776 steps at the default 75
-# bins, 14.8 min at 31.25 Hz.  A 120 s bed grid's is 4.5 MB (3750 steps
-# of 151 gains); a 2 h one's, 272 MB, streams its gains instead, as a
-# grid with drops does.
-_RETAINED_BYTES = 32 << 20
-
-# The gains and final covariance of the last drop-free grid whose table
-# fits _RETAINED_BYTES, keyed on (times_s.tobytes(), cfg).  A grid with
-# drops is a random draw per trace and never comes back, so it is not
-# retained.
+# The gains and final covariance of the last drop-free grid, keyed on
+# (times_s.tobytes(), cfg).  A grid with drops is a random draw per trace
+# and never comes back, so it is not retained.
 _retained = None
 
 
@@ -204,8 +196,7 @@ def _gain_blocks(times_s, cfg, final_cov):
 
     The gains of the last drop-free grid and config are read from the
     retained table; otherwise :func:`_gain_recursion` computes them, and
-    a drop-free grid whose table fits ``_RETAINED_BYTES`` copies them
-    into a new table to retain.
+    a drop-free grid copies them into a new table to retain.
     """
     global _retained
     key = (times_s.tobytes(), cfg)
@@ -218,9 +209,7 @@ def _gain_blocks(times_s, cfg, final_cov):
             yield _observation_rows(times_s[block], grid), gains[block]
         np.copyto(final_cov, cov)
         return
-    table_bytes = len(times_s) * final_cov.shape[0] * final_cov.itemsize
-    if not is_uniform(times_s) or table_bytes > _RETAINED_BYTES:
-        # a random draw per trace, or too long to keep: never retained
+    if not is_uniform(times_s):  # a random draw per trace: never retained
         yield from _gain_recursion(times_s, cfg, final_cov)
         return
     table = np.empty((len(times_s), final_cov.shape[0]))

@@ -9,20 +9,10 @@ module once here, with the warning ignored, lets the failure be
 reported and the remaining tests run; the filter stays as it is for
 every test.  Without libcst the plugin skips its explanation, and so
 does this import.
-
-BLAS is pinned to one thread before numpy loads, as CI and the README
-pin it, unless the environment already sets a count: on a machine with
-few cores a threaded OpenBLAS in a process that forks sweep workers can
-stall for seconds.
 """
 
-import os
-
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
-
-import warnings  # noqa: E402
-from contextlib import suppress  # noqa: E402
+import warnings
+from contextlib import suppress
 
 with warnings.catch_warnings(), suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)

@@ -302,10 +302,7 @@ def test_grid_with_drops_is_not_retained(monkeypatch):
     rng = np.random.default_rng(9)
     t = np.arange(300) / FS
     gappy = t[rng.random(len(t)) >= 0.1]
-    long_t = np.arange(400) / FS
     rows, gappy_rows = noisy_rows(7, t), noisy_rows(8, gappy)
-    long_rows = noisy_rows(9, long_t)
-    retained_run = cold_run(monkeypatch, long_t, long_rows)
     monkeypatch.setattr(kf_module, "_retained", None)
     runs = count_recursions(monkeypatch)
     kf_estimate_batch(t, rows)
@@ -314,17 +311,6 @@ def test_grid_with_drops_is_not_retained(monkeypatch):
     assert len(runs) == 3
     kf_estimate_batch(t, rows)  # the drop-free grid is still retained
     assert len(runs) == 3
-    # nor is a drop-free grid whose table is over the byte budget: the
-    # 300-step table fits, the 400-step one does not
-    kept = kf_module._retained
-    monkeypatch.setattr(kf_module, "_RETAINED_BYTES", 300 * 151 * 8)
-    for _ in range(2):
-        assert_same_outputs(kf_estimate_batch(long_t, long_rows),
-                            retained_run)
-    assert kf_module._retained is kept
-    assert len(runs) == 5
-    kf_estimate_batch(t, rows)
-    assert len(runs) == 5
 
 
 def test_final_cov_writes_do_not_reach_later_calls(monkeypatch):
