@@ -20,7 +20,6 @@ errors.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -39,7 +38,7 @@ from .figures import FIGURES
 from .pipeline import ESTIMATORS, check_rate, estimate, spectral_input
 from .presets import PRESETS, preset_scenario
 from .simulator import (RssTrace, read_csv_columns, scenario_from_dict,
-                        synthesize)
+                        synthesize, write_csv)
 
 ESTIMATES_HEADER = "time_s,method,f_hat_hz"
 METHODS = tuple(ESTIMATORS)
@@ -105,6 +104,12 @@ def _estimator_settings(args):
             for name, cls in classes.items()}
 
 
+def _write_json(path, data):
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, default=float)
+        fh.write("\n")
+
+
 def _write_manifest(primary_out, command, config, seed, outputs):
     manifest = {
         "command": command,
@@ -117,19 +122,19 @@ def _write_manifest(primary_out, command, config, seed, outputs):
         "config": config,
         "outputs": [str(p) for p in outputs],
     }
-    path = f"{primary_out}.manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, default=float)
-        fh.write("\n")
-    return path
+    _write_json(f"{primary_out}.manifest.json", manifest)
 
 
-def _pick_channel(trace, requested):
+def _read_channel(path, requested):
+    """Times and values of channel ``requested`` (else the first) of the
+    trace CSV at ``path``, and the trace's nominal sample rate."""
+    trace = RssTrace.load_csv(path)
+    channels = trace.channels()
     if requested is None:
-        return trace.channels()[0]
-    if requested not in trace.channels():
-        raise ValueError(f"channel {requested} not present; trace has {trace.channels()}")
-    return requested
+        requested = channels[0]
+    elif requested not in channels:
+        raise ValueError(f"channel {requested} not present; trace has {channels}")
+    return (*trace.for_channel(requested), trace.nominal_rate_hz())
 
 
 # --- subcommands ------------------------------------------------------------
@@ -138,10 +143,6 @@ def cmd_simulate(args):
     scenario = _resolve_scenario(args)
     check_rate(scenario.sample_rate_hz)  # a trace no estimate can filter
     trace = synthesize(scenario)
-    if len(trace.times_s) == 0:  # such a file would not load
-        raise ValueError("the scenario draws no samples "
-                         f"(duration_s {scenario.duration_s}, "
-                         f"drop_prob {scenario.drop_prob})")
     if args.absolute:
         trace.values_db += scenario.baseline_dbm
     trace.save_csv(args.out)
@@ -152,35 +153,26 @@ def cmd_simulate(args):
 
 
 def cmd_estimate(args):
-    trace = RssTrace.load_csv(args.trace)
-    channel = _pick_channel(trace, args.channel)
-    t, values = trace.for_channel(channel)
+    t, values, fs = _read_channel(args.trace, args.channel)
     settings = _estimator_settings(args)
     methods = METHODS if args.method == "all" else (args.method,)
     if args.spectrogram and "dft" not in methods:  # before anything is written
         raise ValueError("--spectrogram requires the dft method")
-    fs = trace.nominal_rate_hz()
     results = estimate(t, values, fs, methods, settings)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ESTIMATES_HEADER.split(","))
-        for method in methods:
-            series = results[method]
-            for k in range(len(series)):
-                writer.writerow([f"{series.times_s[k]:.6f}", method,
-                                 f"{series.f_hat_hz[k]:.9g}"])
+    write_csv(args.out, ESTIMATES_HEADER,
+              ((f"{t_k:.6f}", method, f"{f_k:.9g}") for method in methods
+               for t_k, f_k in zip(results[method].times_s,
+                                   results[method].f_hat_hz)))
     outputs = [args.out]
 
     if args.spectrogram:  # the search band only, on the dft's input grid
         grid, (y,) = spectral_input(t, [values], fs)
         ends, freqs, psd = dft_spectrogram(grid, y, settings["dft"])
-        with open(args.spectrogram, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["window_end_s", "f_hz", "psd"])
-            for end_s, window_psd in zip(ends, psd):
-                for f, p in zip(freqs, window_psd):
-                    writer.writerow([f"{end_s:.6f}", f"{f:.9g}", f"{p:.9g}"])
+        write_csv(args.spectrogram, "window_end_s,f_hz,psd",
+                  ((f"{end_s:.6f}", f"{f:.9g}", f"{p:.9g}")
+                   for end_s, window_psd in zip(ends, psd)
+                   for f, p in zip(freqs, window_psd)))
         outputs.append(args.spectrogram)
 
     _write_manifest(args.out, "estimate",
@@ -206,9 +198,7 @@ def cmd_evaluate(args):
     estimates = _load_estimates(args.estimates)
     snr_db = None
     if args.trace:
-        trace = RssTrace.load_csv(args.trace)
-        t, values = trace.for_channel(_pick_channel(trace, args.channel))
-        fs = trace.nominal_rate_hz()
+        t, values, fs = _read_channel(args.trace, args.channel)
         _, (y,) = spectral_input(t, [values], fs)
         snr_db = snr_estimate(y, fs, args.true_freq_hz)
 
@@ -219,9 +209,7 @@ def cmd_evaluate(args):
                                 f_hat_hz=f_hat, aux={})
         report[method] = compute_metrics(series, args.true_freq_hz,
                                          snr_db=snr_db).to_dict()
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, default=float)
-        fh.write("\n")
+    _write_json(args.out, report)
     _write_manifest(args.out, "evaluate",
                     {"true_freq_hz": args.true_freq_hz}, None, [args.out])
     for method in sorted(report):

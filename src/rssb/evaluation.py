@@ -7,7 +7,6 @@ a harmonic when judging fine accuracy, mirroring how the reference
 results are reported.
 """
 
-import csv
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
@@ -16,7 +15,7 @@ import numpy as np
 
 from .pipeline import _estimate_methods, check_methods
 from .rss_model import log_harmonics, reflection_state
-from .simulator import ScenarioConfig, synthesize
+from .simulator import ScenarioConfig, synthesize, write_csv
 
 SPLIT_S = 30.0
 HIT_TOL_BPM = 1.0
@@ -74,6 +73,8 @@ def outlier_filtered_mae(f_hat_hz, true_hz):
 
 def convergence_time_s(times_s, f_hat_hz, true_hz):
     """Earliest time from which all estimates stay within HIT_TOL_BPM."""
+    if len(f_hat_hz) == 0:
+        raise ValueError("no estimates to score")
     times_s = np.asarray(times_s, dtype=float)
     ok = np.abs(_err_bpm(f_hat_hz, true_hz)) <= HIT_TOL_BPM
     if not ok[-1]:
@@ -282,9 +283,6 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
 
 def write_sweep_csv(rows, path):
     """Write ``snr_sweep`` rows as ``snr_db,method,hit_ratio_pct`` CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "method", "hit_ratio_pct"])
-        for row in rows:
-            writer.writerow([row["snr_db"], row["method"],
-                             f"{row['hit_ratio_pct']:.2f}"])
+    write_csv(path, "snr_db,method,hit_ratio_pct",
+              ((row["snr_db"], row["method"], f"{row['hit_ratio_pct']:.2f}")
+               for row in rows))

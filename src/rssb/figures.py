@@ -6,15 +6,12 @@ list of paths.  The scenarios are the desk-scale defaults from
 can be thinned out from the command line.
 """
 
-import csv
-import math
-
 import numpy as np
 
 from . import presets, svgplot
 from .evaluation import DEFAULT_SNR_TARGETS_DB, snr_sweep, write_sweep_csv
 from .rss_model import log_harmonics, ratio_db_exact, reflection_state, signal_energy_approx
-from .simulator import synthesize
+from .simulator import synthesize, write_csv
 
 # Below ~0.05 m excess path the bisector position sits so close to the
 # link that the effective reflection exceeds 0.55 and the low-order
@@ -44,39 +41,37 @@ def truncation_rmse(state):
     return out
 
 
+def _figure(outdir, stem, header, rows, series, **labels):
+    """Write ``rows`` under ``header`` to ``<stem>.csv`` and ``series``
+    plotted by :func:`svgplot.line_plot` with ``labels`` to
+    ``<stem>.svg``, both in ``outdir``; returns the two paths."""
+    csv_path, svg_path = f"{outdir}/{stem}.csv", f"{outdir}/{stem}.svg"
+    write_csv(csv_path, header, rows)
+    svgplot.line_plot(svg_path, series, **labels)
+    return [csv_path, svg_path]
+
+
 def make_fig2c(outdir):
     """Two-harmonic model RMSE versus excess path for series orders 1..3."""
     rows = [(d, *truncation_rmse(_midline_state(d))) for d in _DELTA_GRID]
-    csv_path = f"{outdir}/fig2c_truncation_rmse.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["delta_m", "rmse_order1_db", "rmse_order2_db",
-                    "rmse_order3_db"])
-        w.writerows(rows)
-    svg_path = f"{outdir}/fig2c_truncation_rmse.svg"
     arr = np.asarray(rows)
-    svgplot.line_plot(
-        svg_path,
+    return _figure(
+        outdir, "fig2c_truncation_rmse",
+        "delta_m,rmse_order1_db,rmse_order2_db,rmse_order3_db", rows,
         [(arr[:, 0], arr[:, k], f"series order {k}") for k in (1, 2, 3)],
         title="Two-harmonic model error vs excess path",
         xlabel="excess path (m)", ylabel="RMSE (dB)")
-    return [csv_path, svg_path]
 
 
 def make_fig3a(outdir):
     """First-two-harmonic energy versus excess path (nulls at n*lambda/2)."""
-    rows = [(d, signal_energy_approx(_midline_state(d))) for d in _DELTA_GRID]
-    csv_path = f"{outdir}/fig3a_harmonic_energy.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["delta_m", "first_two_harmonic_energy_db2"])
-        w.writerows(rows)
-    svg_path = f"{outdir}/fig3a_harmonic_energy.svg"
-    arr = np.asarray(rows)
-    svgplot.line_plot(svg_path, [(arr[:, 0], arr[:, 1], "c1^2 + c2^2")],
-                      title="Harmonic energy vs excess path",
-                      xlabel="excess path (m)", ylabel="energy (dB^2)")
-    return [csv_path, svg_path]
+    energy = [signal_energy_approx(_midline_state(d)) for d in _DELTA_GRID]
+    return _figure(outdir, "fig3a_harmonic_energy",
+                   "delta_m,first_two_harmonic_energy_db2",
+                   zip(_DELTA_GRID, energy),
+                   [(_DELTA_GRID, energy, "c1^2 + c2^2")],
+                   title="Harmonic energy vs excess path",
+                   xlabel="excess path (m)", ylabel="energy (dB^2)")
 
 
 def make_fig3b(outdir):
@@ -86,27 +81,15 @@ def make_fig3b(outdir):
         "fundamental": presets.midline_scenario(1.25 * lam, duration_s=30.0),
         "double_rate": presets.midline_scenario(1.5 * lam, duration_s=30.0),
     }
-    columns = {}
-    for name, scenario in variants.items():
-        trace = synthesize(scenario)
-        t, v = trace.for_channel(0)
-        columns[name] = (t, v)
-    csv_path = f"{outdir}/fig3b_traces.csv"
-    t = columns["fundamental"][0]
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s", "rss_db_fundamental", "rss_db_double_rate"])
-        for k in range(len(t)):
-            w.writerow([f"{t[k]:.6f}", columns["fundamental"][1][k],
-                        columns["double_rate"][1][k]])
-    svg_path = f"{outdir}/fig3b_traces.svg"
-    svgplot.line_plot(
-        svg_path,
-        [(t, columns["fundamental"][1], "rest phase pi/2 (odd)"),
-         (t, columns["double_rate"][1], "rest phase pi (even)")],
+    t, odd = synthesize(variants["fundamental"]).for_channel(0)
+    _, even = synthesize(variants["double_rate"]).for_channel(0)
+    return _figure(
+        outdir, "fig3b_traces",
+        "time_s,rss_db_fundamental,rss_db_double_rate",
+        ((f"{t_k:.6f}", a, b) for t_k, a, b in zip(t, odd, even)),
+        [(t, odd, "rest phase pi/2 (odd)"), (t, even, "rest phase pi (even)")],
         title="Breathing traces at two rest phases",
         xlabel="time (s)", ylabel="RSS (dB)")
-    return [csv_path, svg_path]
 
 
 def make_fig6c(outdir, n_seeds=10, jobs=1):
@@ -117,12 +100,10 @@ def make_fig6c(outdir, n_seeds=10, jobs=1):
     csv_path = f"{outdir}/fig6c_snr_sweep.csv"
     write_sweep_csv(rows, csv_path)
     svg_path = f"{outdir}/fig6c_snr_sweep.svg"
-    series = []
-    for method in ("dft", "kf", "gp"):
-        pts = [(r["snr_db"], r["hit_ratio_pct"]) for r in rows
-               if r["method"] == method]
-        pts.sort()
-        series.append(([p[0] for p in pts], [p[1] for p in pts], method))
+    # rows come in rising SNR for each method
+    series = [([r["snr_db"] for r in rows if r["method"] == method],
+               [r["hit_ratio_pct"] for r in rows if r["method"] == method],
+               method) for method in ("dft", "kf", "gp")]
     svgplot.line_plot(svg_path, series, title="Hit ratio vs injected SNR",
                       xlabel="SNR (dB)", ylabel="estimates within 1 bpm (%)")
     return [csv_path, svg_path]

@@ -15,6 +15,7 @@ is precisely the signal the harmonic expansions describe; it exists so
 the expansions can be validated against an exact waveform.
 """
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -71,6 +72,9 @@ class ScenarioConfig:
             raise ScenarioError("sample_rate_hz must be positive")
         if self.duration_s <= 0:
             raise ScenarioError("duration_s must be positive")
+        if not math.isfinite(self.duration_s * self.sample_rate_hz):
+            raise ScenarioError("duration_s * sample_rate_hz must be a "
+                                "finite sample count")
         if self.noise_std_db < 0:
             raise ScenarioError("noise_std_db must be non-negative")
         if self.quantization_db < 0:
@@ -132,9 +136,24 @@ class RssTrace:
         back to the same double, so a saved trace keeps its exact time
         base (and with it ``is_uniform``) and its exact values.  Channels
         sampled together share a timestamp, whose text is made once.
+        A trace that :meth:`load_csv` would refuse (no samples, a time or
+        value that is not finite, a timestamp repeated within a channel)
+        raises ValueError before the file is opened.
         """
+        n = len(self.times_s)
+        if n == 0:
+            raise ValueError(f"cannot write {path}: the trace has no samples")
+        bad = n - np.count_nonzero(np.isfinite(self.times_s)
+                                   & np.isfinite(self.values_db))
+        if bad:
+            raise ValueError(f"cannot write {path}: {bad} of the trace's "
+                             f"{n} samples are not finite")
         order = np.lexsort((self.channel_ids, self.times_s))
         times = self.times_s[order]
+        chans = self.channel_ids[order]
+        if (channel := _unordered_channel(times, chans)) is not None:
+            raise ValueError(f"cannot write {path}: channel {channel} "
+                             "repeats a timestamp")
         # runs of one timestamp, told apart by bits so -0.0 keeps its sign
         bits = times.view(np.int64)
         first = np.ones(len(times), dtype=bool)
@@ -143,7 +162,7 @@ class RssTrace:
         stamps = [f"{t!r}," for t in times[starts].tolist()]
         counts = np.diff(starts, append=len(times)).tolist()
         rows = zip(chain.from_iterable(map(repeat, stamps, counts)),
-                   self.channel_ids[order].astype(int).tolist(),
+                   chans.astype(int).tolist(),
                    self.values_db[order].tolist())
         with open(path, "w") as fh:
             fh.write("time_s,channel_id,rss_db\n")
@@ -184,16 +203,27 @@ def _unordered_channel(times, chans):
     return int(chans[1:][bad][0]) if bad.any() else None
 
 
+def write_csv(path, header, rows):
+    """Write ``header`` (comma-separated names, as
+    :func:`read_csv_columns` takes it) and ``rows`` in :mod:`csv`'s
+    default dialect; a field that is not a string is written as its
+    ``str``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
+
+
 def read_csv_columns(path, header, empty_message, types):
     """Columns of a CSV file with a fixed header, converted by ``types``.
 
     Blank lines are skipped; every other line must hold one field per
-    type, and a float field must be finite.  A wrong header, a
-    malformed row (reported by line number) and a file without rows
-    raise ValueError.  Numeric columns of a seekable file are read by
-    numpy's text reader; a file it cannot read is read again line by
-    line, which accepts what ``float`` and ``int`` accept and names the
-    first bad row.
+    type, a float field must be finite and an int field must fit in 64
+    bits.  A wrong header, a malformed row (reported by line number) and
+    a file without rows raise ValueError.  Numeric columns of a seekable
+    file are read by numpy's text reader; a file it cannot read is read
+    again line by line, which accepts what ``float`` and ``int`` accept
+    and names the first bad row.
     """
     columns = [[] for _ in types]
     with open(path) as fh:
@@ -260,8 +290,8 @@ def _load_plain_numbers(fh, types):
 
 def _parse_rows(lines, types):
     """Columns of the non-blank ``lines``, each line holding one field per
-    type and each field converted by its type, floats finite; ValueError
-    otherwise."""
+    type and each field converted by its type, floats finite and integers
+    within 64 bits; ValueError otherwise."""
     rows = [line for line in map(str.strip, lines) if line]
     n = len(types)
     if any(row.count(",") != n - 1 for row in rows):
@@ -271,6 +301,9 @@ def _parse_rows(lines, types):
     for t, column in zip(types, columns):
         if t is float and not all(map(math.isfinite, column)):
             raise ValueError("values must be finite")
+        if t is int and column and not (-2**63 <= min(column)
+                                        and max(column) < 2**63):
+            raise ValueError("integers must fit in 64 bits")
     return columns
 
 

@@ -45,14 +45,16 @@ def line_plot(path, series, title="", xlabel="", ylabel=""):
     """Write a line plot to ``path``.
 
     ``series`` is a list of (x, y, label) triples of equal-length
-    sequences.  Non-finite points break the polyline.
+    sequences of finite numbers; each series is drawn as one polyline.
     """
     if not series:
         raise ValueError("need at least one series")
     xs = [float(x) for s in series for x in s[0]]
-    ys = [float(y) for s in series for y in s[1] if math.isfinite(float(y))]
+    ys = [float(y) for s in series for y in s[1]]
     if not xs or not ys:
-        raise ValueError("series contain no drawable points")
+        raise ValueError("series contain no points")
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("series points must be finite")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -99,20 +101,10 @@ def line_plot(path, series, title="", xlabel="", ylabel=""):
 
     for i, (x, y, label) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        pts = []
-        run = []
-        for xi, yi in zip(x, y):
-            yi = float(yi)
-            if math.isfinite(yi):
-                run.append(f"{sx(float(xi)):.1f},{sy(yi):.1f}")
-            elif run:
-                pts.append(run)
-                run = []
-        if run:
-            pts.append(run)
-        for run in pts:
-            parts.append(f'<polyline points="{" ".join(run)}" fill="none" '
-                         f'stroke="{color}" stroke-width="1.5"/>')
+        pts = " ".join(f"{sx(float(xi)):.1f},{sy(float(yi)):.1f}"
+                       for xi, yi in zip(x, y))
+        parts.append(f'<polyline points="{pts}" fill="none" '
+                     f'stroke="{color}" stroke-width="1.5"/>')
         ly = _MT + 16 + 16 * i
         lx = _ML + pw - 150
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" '

@@ -118,6 +118,22 @@ def test_simulate_rejects_a_trace_without_samples(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("override, message", [
+    # the noise overflows 262 of the 3750 samples to infinity
+    ("noise_std_db=1e308", "262 of the trace's 3750 samples are not finite"),
+    ("duration_s=1e308", "must be a finite sample count"),
+], ids=["infinite-samples", "infinite-duration"])
+def test_simulate_refuses_a_trace_that_would_not_load(tmp_path, capsys,
+                                                      override, message):
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "--preset", "bed", "--set", override,
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("rate", ["5", "6"])
 def test_simulate_refuses_a_rate_the_low_pass_cannot_filter(tmp_path, capsys,
                                                             rate):

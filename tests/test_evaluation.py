@@ -65,6 +65,8 @@ def test_convergence_time_is_stay_within():
     assert convergence_time_s(times, f_hat, F_TRUE) == 3.0
     assert convergence_time_s(times, np.full(5, inside), F_TRUE) == 0.0
     assert convergence_time_s(times, np.full(5, outside), F_TRUE) is None
+    with pytest.raises(ValueError, match="no estimates to score"):
+        convergence_time_s([], [], F_TRUE)
 
 
 def test_snr_estimate_pure_tone_and_noise():

@@ -19,7 +19,8 @@ from rssb.pipeline import estimate, estimate_batch
 from rssb.presets import bed_scenario, example_scenario_path, midline_scenario
 from rssb.rss_model import log_harmonics, ratio_db_exact, reflection_state
 from rssb.simulator import (RssTrace, ScenarioConfig, ScenarioError,
-                            load_scenario, scenario_from_dict, synthesize)
+                            load_scenario, read_csv_columns,
+                            scenario_from_dict, synthesize, write_csv)
 
 # the 16-channel grid of the bundled example: 2.405 GHz up in 5 MHz steps
 CHANNELS_HZ = load_scenario(example_scenario_path()).channels_hz
@@ -233,6 +234,8 @@ def test_scenario_validation():
         replace(s, model="wobbly")
     with pytest.raises(ScenarioError):
         replace(s, channels_hz=(2.4e9, -1.0))
+    with pytest.raises(ScenarioError, match="finite sample count"):
+        replace(s, duration_s=1e308)
 
 
 def test_csv_round_trip(tmp_path):
@@ -247,6 +250,38 @@ def test_csv_round_trip(tmp_path):
         t1, v1 = loaded.for_channel(cid)
         assert np.allclose(t0, t1, atol=1e-6)
         assert np.allclose(v0, v1, rtol=1e-8)
+
+
+@pytest.mark.parametrize("times, chans, values, message", [
+    ([], [], [], "the trace has no samples"),
+    ([0.0, np.nan], [0, 0], [1.0, 2.0], "1 of the trace's 2 samples"),
+    ([0.0, 0.1], [0, 0], [1.0, -np.inf], "1 of the trace's 2 samples"),
+    ([0.0, 0.1, 0.1], [0, 1, 1], [1.0, 2.0, 3.0], "channel 1 repeats"),
+    ([0.0, -0.0], [3, 3], [1.0, 2.0], "channel 3 repeats"),
+], ids=["empty", "nan-time", "infinite-value", "repeated-time", "signed-zero"])
+def test_csv_save_refuses_what_load_refuses(tmp_path, times, chans, values,
+                                            message):
+    path = tmp_path / "trace.csv"
+    trace = RssTrace(np.array(times, dtype=float), np.array(chans, dtype=int),
+                     np.array(values, dtype=float))
+    with pytest.raises(ValueError, match=message):
+        trace.save_csv(path)
+    assert not path.exists()
+    path.write_text("time_s,channel_id,rss_db\n" + "".join(
+        f"{t!r},{c},{v!r}\n" for t, c, v in zip(times, chans, values)))
+    with pytest.raises(ValueError):
+        RssTrace.load_csv(path)
+
+
+def test_write_csv_reads_back(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, "time_s,method,f_hat_hz",
+              [("0.500000", "dft", 0.25), (1.5, "kf", np.float64(0.2))])
+    assert path.read_bytes() == (b"time_s,method,f_hat_hz\r\n"
+                                 b"0.500000,dft,0.25\r\n1.5,kf,0.2\r\n")
+    assert read_csv_columns(path, "time_s,method,f_hat_hz", "empty",
+                            (float, str, float)) == [[0.5, 1.5], ["dft", "kf"],
+                                                     [0.25, 0.2]]
 
 
 @settings(max_examples=30, deadline=None)
@@ -310,8 +345,7 @@ def test_csv_codec_matches_per_line_writer(tmp_path_factory, n_channels,
 
 @pytest.mark.parametrize("times, ids, values", [
     ([-0.0, 0.0, -0.0, 0.5], [0, 1, 2, 0], [-0.0, 0.0, 1.0, -2.5]),
-    ([], [], []),
-], ids=["signed-zero-times", "empty"])
+], ids=["signed-zero-times"])
 def test_csv_writer_matches_per_line_writer(tmp_path, times, ids, values):
     trace = RssTrace(np.array(times, dtype=float), np.array(ids, dtype=int),
                      np.array(values, dtype=float))
@@ -334,6 +368,7 @@ MALFORMED_ROWS = [
     # numpy's reader strips the ASCII separators; int() does not
     ("0.0,0\x1f,1.5", "invalid literal for int() with base 10: '0\\x1f'"),
     ("0.0,0,\x1c1.5", "could not convert string to float: '\\x1c1.5'"),
+    ("0.0,99999999999999999999,1.5", "integers must fit in 64 bits"),
 ]
 
 
