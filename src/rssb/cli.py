@@ -15,7 +15,8 @@ configuration, the seed, the numpy and scipy versions and the produced
 files, so any artifact can be regenerated from the manifest alone.
 
 Exit codes: 0 on success, 2 when inputs fail validation (bad flags,
-malformed config or CSV, unknown preset), 1 on unexpected runtime
+malformed config or CSV, unknown preset, a path that cannot be read or
+written, a scenario too large to allocate), 1 on unexpected runtime
 errors.
 """
 
@@ -31,6 +32,7 @@ import scipy
 
 from . import __version__
 from .config import from_dict, to_dict
+from .dsp import nominal_rate_hz
 from .estimators import EstimateSeries, dft_spectrogram
 from .evaluation import (DEFAULT_SNR_TARGETS_DB, compute_metrics,
                          snr_estimate, snr_sweep, write_sweep_csv)
@@ -127,14 +129,14 @@ def _write_manifest(primary_out, command, config, seed, outputs):
 
 def _read_channel(path, requested):
     """Times and values of channel ``requested`` (else the first) of the
-    trace CSV at ``path``, and the trace's nominal sample rate."""
+    trace CSV at ``path``."""
     trace = RssTrace.load_csv(path)
     channels = trace.channels()
     if requested is None:
         requested = channels[0]
     elif requested not in channels:
         raise ValueError(f"channel {requested} not present; trace has {channels}")
-    return (*trace.for_channel(requested), trace.nominal_rate_hz())
+    return trace.for_channel(requested)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -143,8 +145,6 @@ def cmd_simulate(args):
     scenario = _resolve_scenario(args)
     check_rate(scenario.sample_rate_hz)  # a trace no estimate can filter
     trace = synthesize(scenario)
-    if args.absolute:
-        trace.values_db += scenario.baseline_dbm
     trace.save_csv(args.out)
     _write_manifest(args.out, "simulate", to_dict(scenario), scenario.seed,
                     [args.out])
@@ -153,12 +153,12 @@ def cmd_simulate(args):
 
 
 def cmd_estimate(args):
-    t, values, fs = _read_channel(args.trace, args.channel)
+    t, values = _read_channel(args.trace, args.channel)
     settings = _estimator_settings(args)
     methods = METHODS if args.method == "all" else (args.method,)
     if args.spectrogram and "dft" not in methods:  # before anything is written
         raise ValueError("--spectrogram requires the dft method")
-    results = estimate(t, values, fs, methods, settings)
+    results = estimate(t, values, methods, settings)
 
     write_csv(args.out, ESTIMATES_HEADER,
               ((f"{t_k:.6f}", method, f"{f_k:.9g}") for method in methods
@@ -167,7 +167,7 @@ def cmd_estimate(args):
     outputs = [args.out]
 
     if args.spectrogram:  # the search band only, on the dft's input grid
-        grid, (y,) = spectral_input(t, [values], fs)
+        grid, (y,) = spectral_input(t, [values])
         ends, freqs, psd = dft_spectrogram(grid, y, settings["dft"])
         write_csv(args.spectrogram, "window_end_s,f_hz,psd",
                   ((f"{end_s:.6f}", f"{f:.9g}", f"{p:.9g}")
@@ -198,9 +198,9 @@ def cmd_evaluate(args):
     estimates = _load_estimates(args.estimates)
     snr_db = None
     if args.trace:
-        t, values, fs = _read_channel(args.trace, args.channel)
-        _, (y,) = spectral_input(t, [values], fs)
-        snr_db = snr_estimate(y, fs, args.true_freq_hz)
+        t, values = _read_channel(args.trace, args.channel)
+        _, (y,) = spectral_input(t, [values])
+        snr_db = snr_estimate(y, nominal_rate_hz(t), args.true_freq_hz)
 
     report = {}
     for method in sorted(estimates):
@@ -227,7 +227,7 @@ def cmd_sweep(args):
     write_sweep_csv(rows, args.out)
     config = {"scenario": to_dict(scenario), "snr_targets_db": targets,
               "n_seeds": args.seeds, "methods": list(methods)}
-    _write_manifest(args.out, "sweep", config, None, [args.out])
+    _write_manifest(args.out, "sweep", config, scenario.seed, [args.out])
     print(f"wrote {len(rows)} sweep rows to {args.out}")
 
 
@@ -273,8 +273,6 @@ def build_parser():
     p = sub.add_parser("simulate", parents=[scenario_opts],
                        help="synthesize an RSS trace CSV")
     p.add_argument("--out", required=True, help="output trace CSV")
-    p.add_argument("--absolute", action="store_true",
-                   help="write absolute dBm using the scenario baseline")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="run estimators on a trace CSV")
@@ -326,7 +324,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pipeline import _estimate_methods, check_methods
+from .pipeline import check_methods, estimate_batch
 from .rss_model import log_harmonics, reflection_state
 from .simulator import ScenarioConfig, synthesize, write_csv
 
@@ -223,8 +223,7 @@ def _sweep_chunk(args):
     true_hz = template.motion.breath_freq_hz
     hits = [{} for _ in cells]
     for t, index, rows in batches.values():
-        for method, series in _estimate_methods(
-                t, rows, template.sample_rate_hz, methods):
+        for method, series in estimate_batch(t, rows, methods):
             for i, one in zip(index, series):
                 hits[i][method] = hit_ratio_pct(one.after(SPLIT_S)[1],
                                                 true_hz)
@@ -237,9 +236,10 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
     """Hit ratio of every method across an injected-SNR grid.
 
     For each target SNR the template's noise level is recalibrated and
-    ``n_seeds`` independent traces scored on their post-transient
-    estimates.  Returns a list of ``{"snr_db", "method",
-    "hit_ratio_pct"}`` rows, seed-averaged, ordered by SNR then method.
+    ``n_seeds`` traces, seeded ``template.seed`` onwards, scored on the
+    post-transient estimates of their first channel.  Returns a list of
+    ``{"snr_db", "method", "hit_ratio_pct"}`` rows, seed-averaged,
+    ordered by SNR then method.
 
     The (SNR, seed) cells are split into contiguous chunks, a multiple
     of ``jobs`` of them, run by ``jobs`` processes.  Within a chunk, each
@@ -253,10 +253,13 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
     if not all(map(math.isfinite, targets)):
         raise ValueError(f"SNR targets must be finite, got {targets}")
     check_methods(methods)
-    cells = [(snr, seed) for snr in targets for seed in range(n_seeds)]
+    cells = [(snr, template.seed + i) for snr in targets
+             for i in range(n_seeds)]
     # a multiple of jobs chunks of near-equal size keeps the workers even
     n_chunks = jobs * max(1, -(-len(cells) // (jobs * _MAX_CHUNK_CELLS)))
     bounds = [len(cells) * i // n_chunks for i in range(n_chunks + 1)]
+    # each channel draws its own stream, so channel 0 needs no others
+    template = replace(template, channels_hz=template.channels_hz[:1])
     tasks = [(template, cells[a:b], tuple(methods))
              for a, b in zip(bounds, bounds[1:]) if b > a]
     if jobs > 1:

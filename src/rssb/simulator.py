@@ -50,8 +50,8 @@ class ScenarioConfig:
     medium's reference wavelength is simulated with channel id 0.
     ``noise_std_db`` is the standard deviation of the Gaussian noise
     added to the dB-scale samples; ``quantization_db`` rounds values to
-    a lattice (0 disables it) and ``drop_prob`` removes samples
-    independently at random.
+    a lattice (0 disables it), a non-zero ``baseline_dbm`` is then added
+    to make them absolute, and ``drop_prob`` removes samples at random.
     """
 
     link: LinkGeometry
@@ -98,10 +98,10 @@ class RssTrace:
     """Sampled RSS measurements, possibly from several channels.
 
     ``values_db`` are in dB against any fixed reference: relative to
-    the unperturbed baseline, as :func:`synthesize` writes them, or
-    absolute dBm.  The estimates do not depend on which.  Dropped
-    samples are simply absent, so per-channel timestamps need not be
-    uniform.
+    the unperturbed link, or absolute dBm when :func:`synthesize` adds
+    the scenario's ``baseline_dbm``; the estimates do not depend on
+    which.  Dropped samples are simply absent, so per-channel
+    timestamps need not be uniform.
     """
 
     times_s: np.ndarray
@@ -355,6 +355,8 @@ def synthesize(scenario: ScenarioConfig, seed=None) -> RssTrace:
         if scenario.quantization_db > 0:
             q = scenario.quantization_db
             v = np.round(v / q) * q
+        if scenario.baseline_dbm:
+            v = v + scenario.baseline_dbm
         keep = np.ones(n, dtype=bool)
         if scenario.drop_prob > 0:
             keep = rng.random(n) >= scenario.drop_prob

@@ -61,8 +61,9 @@ def seed_batch(base, seeds, methods=METHODS, configs=None):
     channels = [first_channel(replace(base, seed=seed)) for seed in seeds]
     times_s = channels[0][0]
     assert all(np.array_equal(t, times_s) for t, _ in channels)
-    return estimate_batch(times_s, [values for _, values in channels],
-                          base.sample_rate_hz, methods, configs)
+    batch = dict(estimate_batch(times_s, [values for _, values in channels],
+                                methods, configs))
+    return [dict(zip(batch, row)) for row in zip(*batch.values())]
 
 
 def late_mean_bpm(series, settle_s=30.0):

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rssb.cli import ESTIMATES_HEADER, main
-from rssb.presets import PRESETS, example_scenario_path
-from rssb.simulator import RssTrace
+from rssb.presets import PRESETS, bed_scenario, example_scenario_path
+from rssb.simulator import RssTrace, synthesize
 
 TRUE_FREQ_HZ = 0.2
 
@@ -74,10 +74,9 @@ def test_simulate_estimate_evaluate_round_trip(tmp_path):
 
 
 def test_absolute_trace_gives_the_same_estimates(tmp_path):
-    relative = simulate(tmp_path, "relative.csv",
-                        ("--set", "baseline_dbm=-41.7"))
+    relative = simulate(tmp_path, "relative.csv")
     absolute = simulate(tmp_path, "absolute.csv",
-                        ("--set", "baseline_dbm=-41.7", "--absolute"))
+                        ("--set", "baseline_dbm=-41.7"))
     rel, ab = RssTrace.load_csv(relative), RssTrace.load_csv(absolute)
     assert np.array_equal(ab.times_s, rel.times_s)
     assert np.array_equal(ab.channel_ids, rel.channel_ids)
@@ -178,6 +177,23 @@ def test_trace_with_no_single_rate_exits_2(tmp_path, capsys):
         assert sorted(tmp_path.iterdir()) == files
 
 
+def test_estimate_channel_at_its_own_rate(tmp_path):
+    # channel 1 runs at twice channel 0's rate, and is filtered at its own
+    t0, v0 = synthesize(bed_scenario(duration_s=40.0), seed=1).for_channel(0)
+    t1, v1 = synthesize(bed_scenario(duration_s=40.0, sample_rate_hz=62.5),
+                        seed=2).for_channel(0)
+    both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+    ids = np.r_[np.zeros(len(t0), dtype=int), np.ones(len(t1), dtype=int)]
+    RssTrace(np.r_[t0, t1], ids, np.r_[v0, v1]).save_csv(both)
+    RssTrace(t1, np.ones(len(t1), dtype=int), v1).save_csv(alone)
+    for trace in (both, alone):
+        assert run(["estimate", "--trace", str(trace), "--channel", "1",
+                    "--out", str(trace.with_suffix(".est.csv"))]) == 0
+    want = (tmp_path / "alone.est.csv").read_bytes()
+    assert want.count(b"\n") > 1000
+    assert (tmp_path / "both.est.csv").read_bytes() == want
+
+
 @pytest.mark.parametrize("rate_hz", [100, 400])
 def test_traces_above_68_hz_estimate(tmp_path, rate_hz):
     # the dft's grid spans 65.536 s at any rate, so a 30 s window fits
@@ -268,6 +284,7 @@ def test_sweep_writes_expected_csv(tmp_path):
     assert rows[0][:2] == ["0.0", "dft"]
     manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
     assert manifest["config"]["snr_targets_db"] == [0.0]
+    assert manifest["seed"] == manifest["config"]["scenario"]["seed"] == 0
 
 
 def test_sweep_takes_negative_targets_after_equals(tmp_path):
@@ -432,12 +449,15 @@ def test_estimate_manifest_config_reproduces_estimates(tmp_path, capsys):
 
 
 def test_simulate_manifest_records_the_resolved_scenario(tmp_path):
+    # the baseline is part of the scenario, so the replay keeps it
     minimal = {"link": {"tx": [-1, 0], "rx": [1, 0]},
-               "motion": {"rest": [0, 0.4]}, "duration_s": 5}
+               "motion": {"rest": [0, 0.4]}, "duration_s": 5,
+               "baseline_dbm": -41.7}
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(minimal))
     first = tmp_path / "first.csv"
     assert run(["simulate", "--config", str(config), "--out", str(first)]) == 0
+    assert np.all(RssTrace.load_csv(first).values_db < -30.0)
     recorded = json.loads((tmp_path / "first.csv.manifest.json").read_text())[
         "config"]
     assert recorded["sample_rate_hz"] == 31.25
@@ -498,6 +518,30 @@ def test_missing_config_file_is_reported(tmp_path, capsys):
               "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--trace", "{dir}"],
+    ["simulate", "--config", "{dir}"],
+    ["estimate", "--trace", "{trace}", "--config", "{dir}"],
+    ["evaluate", "--estimates", "{dir}", "--true-freq-hz", "0.2"],
+    # 3.1e16 samples, far more than any machine can allocate
+    ["simulate", "--preset", "bed", "--set", "duration_s=1e15"],
+], ids=["estimate-trace", "simulate-config", "estimate-config",
+        "evaluate-estimates", "oversize-scenario"])
+def test_unreadable_path_or_oversize_scenario_exits_2(tmp_path, capsys,
+                                                      argv):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    trace = simulate(inputs)
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    argv = [arg.format(dir=inputs, trace=trace) for arg in argv]
+    assert run([*argv, "--out", str(out / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -327,7 +327,7 @@ def test_estimate_memory_scales_with_the_windows():
     t, values = synthesize(scenario, seed=1).for_channel(0)
     tracemalloc.start()
     try:
-        series = estimate(t, values, scenario.sample_rate_hz, ("dft",))["dft"]
+        series = estimate(t, values, ("dft",))["dft"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -12,8 +12,8 @@ from rssb.evaluation import (MetricsReport, compute_metrics,
                              noise_std_for_snr, outlier_filtered_mae,
                              snr_estimate, snr_sweep)
 from rssb.pipeline import estimate, estimate_batch
-from rssb.presets import bed_scenario
-from rssb.simulator import synthesize
+from rssb.presets import bed_scenario, example_scenario_path
+from rssb.simulator import load_scenario, synthesize
 
 F_TRUE = 0.2  # 12 bpm
 
@@ -147,16 +147,17 @@ def test_noise_calibration_round_trip():
 
 
 def per_cell_sweep(template, snr_targets_db, n_seeds, methods, settle_s):
-    """snr_sweep's rows, from one estimate call per (SNR, seed) cell."""
+    """snr_sweep's rows, from one estimate call per (SNR, seed) cell, on
+    the first channel of a trace that holds every channel."""
     rows = []
     for snr in sorted(snr_targets_db):
         sigma = noise_std_for_snr(template, snr)
         hits = {m: [] for m in methods}
-        for seed in range(n_seeds):
+        for i in range(n_seeds):
             trace = synthesize(replace(template, noise_std_db=sigma),
-                               seed=seed)
+                               seed=template.seed + i)
             t, values = trace.for_channel(trace.channels()[0])
-            runs = estimate(t, values, template.sample_rate_hz, methods)
+            runs = estimate(t, values, methods)
             for m, series in runs.items():
                 hits[m].append(hit_ratio_pct(series.after(settle_s)[1],
                                              template.motion.breath_freq_hz))
@@ -173,7 +174,7 @@ def per_cell_sweep(template, snr_targets_db, n_seeds, methods, settle_s):
 def test_method_names_are_checked(monkeypatch, methods, message):
     t = np.arange(64) / 31.25
     with pytest.raises(ValueError, match=message):
-        estimate_batch(t, [np.zeros(64)], 31.25, methods)
+        list(estimate_batch(t, [np.zeros(64)], methods))
 
     def no_synthesis(*args, **kwargs):
         raise AssertionError("a cell was synthesized")
@@ -184,11 +185,23 @@ def test_method_names_are_checked(monkeypatch, methods, message):
         snr_sweep(bed_scenario(), [0.0], n_seeds=1, methods=methods)
 
 
-@pytest.mark.parametrize("drop_prob", [0.0, 0.1])
-def test_snr_sweep_smoke(drop_prob):
+def example_scenario(**fields):
+    return replace(load_scenario(example_scenario_path()), **fields)
+
+
+@pytest.mark.parametrize("template", [
+    pytest.param(bed_scenario(duration_s=40.0), id="0.0"),
+    pytest.param(bed_scenario(duration_s=40.0, drop_prob=0.1), id="0.1"),
+    pytest.param(bed_scenario(duration_s=40.0, seed=5), id="seed-5"),
+    pytest.param(example_scenario(duration_s=40.0), id="16ch-0.0"),
+    pytest.param(example_scenario(duration_s=40.0, drop_prob=0.1),
+                 id="16ch-0.1"),
+])
+def test_snr_sweep_smoke(template):
     # with drops the dft runs on a resampled grid, and only the cells of
-    # one seed share timestamps; without, every chunk is one batch
-    template = bed_scenario(duration_s=40.0, drop_prob=drop_prob)
+    # one seed share timestamps; without, every chunk is one batch.  The
+    # cells draw seeds from the template's on, and score the first
+    # channel of a multi-channel template as if all were synthesized.
     methods = ("dft", "kf", "gp")
     targets = [-12.0, -18.0]  # low enough that hit ratios differ
     rows = snr_sweep(template, targets, n_seeds=3, methods=methods)

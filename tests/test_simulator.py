@@ -421,8 +421,8 @@ def test_loaded_trace_gives_the_same_estimates(tmp_path, drop_prob):
     trace.save_csv(tmp_path / "trace.csv")
     loaded = RssTrace.load_csv(tmp_path / "trace.csv")
     methods = ("dft", "kf", "gp")
-    want = estimate(*trace.for_channel(0), scenario.sample_rate_hz, methods)
-    got = estimate(*loaded.for_channel(0), loaded.nominal_rate_hz(), methods)
+    want = estimate(*trace.for_channel(0), methods)
+    got = estimate(*loaded.for_channel(0), methods)
     for method in methods:
         assert len(got[method]) > 0
         assert np.array_equal(got[method].f_hat_hz, want[method].f_hat_hz)
@@ -437,16 +437,15 @@ def test_estimates_do_not_depend_on_the_db_reference(seed, drop_prob):
     t, values = synthesize(scenario).for_channel(0)
     offsets_db = (-95.0, -40.0, 17.3)
     methods = ("dft", "kf", "gp")
-    want, *shifted = estimate_batch(
-        t, [values, *(values + c for c in offsets_db)],
-        scenario.sample_rate_hz, methods)
-    for got in shifted:
-        for method in methods:
-            assert len(got[method]) > 0
-        assert np.array_equal(got["dft"].f_hat_hz, want["dft"].f_hat_hz)
-        assert np.array_equal(got["kf"].f_hat_hz, want["kf"].f_hat_hz)
-        np.testing.assert_allclose(got["gp"].f_hat_hz, want["gp"].f_hat_hz,
-                                   rtol=1e-9, atol=0)
+    for method, (want, *shifted) in estimate_batch(
+            t, [values, *(values + c for c in offsets_db)], methods):
+        for got in shifted:
+            assert len(got) > 0
+            if method == "gp":
+                np.testing.assert_allclose(got.f_hat_hz, want.f_hat_hz,
+                                           rtol=1e-9, atol=0)
+            else:
+                assert np.array_equal(got.f_hat_hz, want.f_hat_hz)
 
 
 def test_csv_load_needs_each_channel_in_time_order(tmp_path):
