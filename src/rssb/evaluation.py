@@ -8,6 +8,7 @@ results are reported.
 """
 
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -203,31 +204,25 @@ _MAX_CHUNK_CELLS = 32
 
 
 def _sweep_chunk(args):
-    """Hit ratios of a contiguous run of (snr_db, seed) cells, in order.
-
-    The template's in-band signal power is computed once, and each
-    cell's noise level from it as :func:`noise_std_for_snr` gives it.
-    The cells whose traces share timestamps (all of them, without
-    drops) are estimated as one batch.
+    """Hit ratios of a contiguous run of (noise_std_db, seed) cells, as a
+    (cells × methods) array.  The cells whose traces share timestamps
+    (all of them, without drops) are estimated as one batch.
     """
     template, cells, methods = args
-    p_sig = inband_signal_power(template)
     batches = {}  # timestamps -> (times, cell indices, values)
-    for i, (snr_db, seed) in enumerate(cells):
-        sigma = _noise_std(p_sig, snr_db)
+    for i, (sigma, seed) in enumerate(cells):
         trace = synthesize(replace(template, noise_std_db=sigma), seed=seed)
-        t, values = trace.for_channel(trace.channels()[0])
+        t = trace.times_s
         _, index, rows = batches.setdefault(t.tobytes(), (t, [], []))
         index.append(i)
-        rows.append(values)
+        rows.append(trace.values_db)
     true_hz = template.motion.breath_freq_hz
-    hits = [{} for _ in cells]
+    hits = np.empty((len(cells), len(methods)))
     for t, index, rows in batches.values():
-        for method, series in estimate_batch(t, rows, methods):
-            for i, one in zip(index, series):
-                hits[i][method] = hit_ratio_pct(one.after(SPLIT_S)[1],
-                                                true_hz)
-            del series, one  # free this method's series before the next runs
+        for j, (_, series) in enumerate(estimate_batch(t, rows, methods)):
+            hits[index, j] = [hit_ratio_pct(one.after(SPLIT_S)[1], true_hz)
+                              for one in series]
+            del series  # free this method's series before the next runs
     return hits
 
 
@@ -235,15 +230,17 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
               methods=("dft", "kf", "gp"), jobs=1):
     """Hit ratio of every method across an injected-SNR grid.
 
-    For each target SNR the template's noise level is recalibrated and
-    ``n_seeds`` traces, seeded ``template.seed`` onwards, scored on the
-    post-transient estimates of their first channel.  Returns a list of
-    ``{"snr_db", "method", "hit_ratio_pct"}`` rows, seed-averaged,
-    ordered by SNR then method.
+    For each distinct target SNR the template's noise level is
+    recalibrated and ``n_seeds`` traces, seeded ``template.seed``
+    onwards, scored on the post-transient estimates of their first
+    channel.  Returns a list of ``{"snr_db", "method", "hit_ratio_pct"}``
+    rows, seed-averaged, ordered by SNR then method.
 
     The (SNR, seed) cells are split into contiguous chunks, a multiple
     of ``jobs`` of them, run by ``jobs`` processes.  Within a chunk, each
-    method runs once per batch of cells with identical timestamps.
+    method runs once per batch of cells with identical timestamps.  The
+    processes are spawned, so a script that calls this with ``jobs > 1``
+    needs an ``if __name__ == "__main__":`` guard.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
@@ -253,7 +250,11 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
     if not all(map(math.isfinite, targets)):
         raise ValueError(f"SNR targets must be finite, got {targets}")
     check_methods(methods)
-    cells = [(snr, template.seed + i) for snr in targets
+    targets = sorted(set(targets))
+    if not targets:
+        return []
+    p_sig = inband_signal_power(template)
+    cells = [(_noise_std(p_sig, snr), template.seed + i) for snr in targets
              for i in range(n_seeds)]
     # a multiple of jobs chunks of near-equal size keeps the workers even
     n_chunks = jobs * max(1, -(-len(cells) // (jobs * _MAX_CHUNK_CELLS)))
@@ -263,25 +264,28 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
     tasks = [(template, cells[a:b], tuple(methods))
              for a, b in zip(bounds, bounds[1:]) if b > a]
     if jobs > 1:
+        # forked from a parent whose BLAS threads run, workers stalled at
+        # random on two cores: spawn them, each with one BLAS thread
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_sweep_chunk, tasks))
+        saved = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        spawn = multiprocessing.get_context("spawn")
+        try:
+            with ProcessPoolExecutor(jobs, mp_context=spawn) as pool:
+                chunks = list(pool.map(_sweep_chunk, tasks))
+        finally:  # the caller's environment back
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+            if saved is not None:
+                os.environ["OPENBLAS_NUM_THREADS"] = saved
     else:
         chunks = [_sweep_chunk(t) for t in tasks]
-    hits = [cell for chunk in chunks for cell in chunk]
-
-    # averaged in (SNR, seed) order, as when every cell ran on its own
-    table = {}
-    for (snr_db, _seed), cell in zip(cells, hits):
-        for method, hit in cell.items():
-            table.setdefault((snr_db, method), []).append(hit)
-    rows = []
-    for snr in sorted({k[0] for k in table}):
-        for method in methods:
-            hit = float(np.mean(table[(snr, method)]))
-            rows.append({"snr_db": snr, "method": method,
-                         "hit_ratio_pct": hit})
-    return rows
+    hits = np.concatenate(chunks).reshape(len(targets), n_seeds, len(methods))
+    # seeds on the last, contiguous axis sum as np.mean of each list does
+    means = np.ascontiguousarray(hits.transpose(0, 2, 1)).mean(axis=-1)
+    return [{"snr_db": snr, "method": method, "hit_ratio_pct": float(hit)}
+            for snr, row in zip(targets, means)
+            for method, hit in zip(methods, row)]
 
 
 def write_sweep_csv(rows, path):

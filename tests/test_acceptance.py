@@ -16,7 +16,8 @@ from scipy import special
 
 from rssb.dsp import FilterSpec, design_lowpass, preprocess
 from rssb.estimators import GpConfig
-from rssb.evaluation import (convergence_split, convergence_time_s, snr_sweep)
+from rssb.evaluation import (convergence_split, convergence_time_s,
+                             noise_std_for_snr, snr_sweep)
 from rssb.figures import truncation_rmse
 from rssb.pipeline import estimate_batch
 from rssb.presets import (bed_scenario, drifting_scenario, midline_scenario,
@@ -289,3 +290,30 @@ def test_12_moving_reflector_shifts_dominant_tone():
     check("moving reflector tone displacement", ok,
           f"dominant tone {peak_hz:.5f} Hz vs model shift {shift_hz:.5f} Hz "
           f"(bin width {bin_hz:.5f} Hz)")
+
+
+def test_13_trackers_converge_before_the_first_dft_estimate():
+    # the latency side of the regime claim: at high SNR the trackers
+    # settle before the dft's first window has filled
+    n_seeds = 25
+    template = replace(bed_scenario(), quantization_db=0.0)
+    f_true = template.motion.breath_freq_hz
+    counts = {(snr, m): 0 for snr in (10.0, 0.0) for m in ("kf", "gp")}
+    first_dft_s = set()
+    for snr in (10.0, 0.0):
+        base = replace(template,
+                       noise_std_db=noise_std_for_snr(template, snr))
+        for results in seed_batch(base, range(n_seeds)):
+            first = float(results["dft"].times_s[0])
+            first_dft_s.add(first)
+            for method in ("kf", "gp"):
+                series = results[method]
+                reached = convergence_time_s(series.times_s, series.f_hat_hz,
+                                             f_true)
+                if reached is not None and reached < first:
+                    counts[(snr, method)] += 1
+    ok = all(n >= 0.9 * n_seeds for n in counts.values())
+    check("trackers converge before the dft's first estimate", ok,
+          ", ".join(f"{m} at {snr:+.0f} dB {n}/{n_seeds}"
+                    for (snr, m), n in counts.items())
+          + f" seeds (>= 23) before {max(first_dft_s):.2f} s")

@@ -669,8 +669,9 @@ def run_quietly(argv):
 @settings(max_examples=40, deadline=None)
 @given(drawn=cli_scenarios())
 def test_any_simulated_trace_estimates_or_exits_2(drawn):
-    # simulate, then estimate every method on what it wrote: each command
-    # exits 0 with its outputs, or 2 with one line and no file of its own
+    # simulate, estimate every method on what it wrote, then evaluate the
+    # estimates against the trace: each command exits 0 with its outputs,
+    # or 2 with one line and no file of its own
     preset, overrides = drawn
     with tempfile.TemporaryDirectory() as tmp:
         trace, est = Path(tmp) / "trace.csv", Path(tmp) / "est.csv"
@@ -694,3 +695,18 @@ def test_any_simulated_trace_estimates_or_exits_2(drawn):
         _, rows = read_rows(est)
         assert {row[1] for row in rows} == {"dft", "kf", "gp"}
         assert np.isfinite([float(row[2]) for row in rows]).all()
+        metrics = Path(tmp) / "metrics.json"
+        rc, err = run_quietly(["evaluate", "--estimates", str(est),
+                               "--true-freq-hz", "0.2", "--trace", str(trace),
+                               "--out", str(metrics)])
+        assert rc in (0, 2), err
+        if rc == 2:
+            assert len(err) == 1 and err[0].startswith("error:")
+            assert not metrics.exists()
+            assert not Path(f"{metrics}.manifest.json").exists()
+            return
+        report = json.loads(metrics.read_text())
+        assert set(report) == {"dft", "kf", "gp"}
+        for scores in report.values():
+            assert np.isfinite(scores["freq_mae_bpm"])
+            assert 0.0 <= scores["hit_ratio_pct"] <= 100.0

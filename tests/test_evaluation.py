@@ -1,10 +1,16 @@
 """Metric arithmetic and scoring-harness checks."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rssb
 from rssb.estimators import EstimateSeries
 from rssb.evaluation import (MetricsReport, compute_metrics,
                              convergence_split, convergence_time_s,
@@ -211,3 +217,52 @@ def test_snr_sweep_smoke(template):
     assert rows == snr_sweep(template, targets, n_seeds=3, methods=methods,
                              jobs=2)
     assert rows == per_cell_sweep(template, targets, 3, methods, 30.0)
+
+
+def test_snr_sweep_scores_each_distinct_target_once():
+    template = bed_scenario(duration_s=40.0)
+    assert snr_sweep(template, []) == []
+    once = snr_sweep(template, [-12.0], n_seeds=1, methods=("dft",))
+    assert snr_sweep(template, [-12.0, -12.0], n_seeds=1,
+                     methods=("dft",)) == once
+
+
+def test_snr_sweep_seed_means_equal_each_cell_lists_mean():
+    # from 8 values on numpy sums a contiguous run pairwise, in another
+    # order than a strided one, so 16 seeds of two methods show whether
+    # the seed means are taken on a contiguous axis
+    template = bed_scenario(duration_s=40.0)
+    methods = ("dft", "kf")
+    assert snr_sweep(template, [-18.0], n_seeds=16, methods=methods) == (
+        per_cell_sweep(template, [-18.0], 16, methods, 30.0))
+
+
+GUARDED_SWEEP = """
+import json, os
+import numpy as np
+from rssb.evaluation import snr_sweep
+from rssb.presets import bed_scenario
+
+if __name__ == "__main__":
+    np.ones((300, 300)) @ np.ones((300, 300))  # the BLAS threads run
+    print(json.dumps(snr_sweep(bed_scenario(duration_s=40.0), [-12.0, -18.0],
+                               n_seeds=2, jobs=2)))
+    print("OPENBLAS_NUM_THREADS" in os.environ)
+"""
+
+
+def test_guarded_script_sweeps_in_spawned_workers(tmp_path):
+    # the workers are spawned and import the script again, under a name
+    # that the guard keeps from sweeping; the script's environment, with
+    # no BLAS variable, is given back once they are done
+    script = tmp_path / "sweep.py"
+    script.write_text(GUARDED_SWEEP)
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(rssb.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, str(script)], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert json.loads(out[0]) == snr_sweep(bed_scenario(duration_s=40.0),
+                                           [-12.0, -18.0], n_seeds=2)
+    assert out[1] == "False"
