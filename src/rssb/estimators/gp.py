@@ -26,12 +26,15 @@ covariance exactly symmetric.
 Each prior and posterior is kept above an eigenvalue floor, but the
 floor is tested a block of up to ``_BLOCK_STEPS`` steps at a time (fewer
 where the block's buffers would pass ``_BLOCK_BYTES``; outputs do not
-depend on the block length).  A block first runs without it; then one
-stacked Cholesky call tests every prior and posterior the block left,
-each against its step's trace shift.  If all pass, no floor would have
-fired and the block stands.  Otherwise it runs again from the state
-before it, with the floor of :func:`_recondition` (one stacked
-``eigh``) at every step, so outputs are those of flooring every step.
+depend on the block length).  A block first runs without it; then
+:func:`_block_passes` tests the posteriors it left, and only them: each
+must be finite, its trace not above its prior's, since a prior bounds
+its posterior only where the innovation variance is positive, and it
+must keep a Cholesky factor after its step's trace shift.  If all
+pass, no floor would have fired and the block stands.  Otherwise it
+runs again from the state before it, with the floor of
+:func:`_recondition` (one stacked ``eigh``) at every step, so outputs
+are those of flooring every step.
 A state that runs away, a covariance or rate that is not finite or a
 rate that underflows to 0, raises :class:`EstimatorError` naming the
 time of the first bad step; no floating-point warning is reported.
@@ -74,7 +77,7 @@ from .common import EstimateSeries, EstimatorError, check_finite, check_rows
 # by one stacked Cholesky call.  128 steps make numpy's per-call cost
 # vanish; a block takes fewer, but at least one, where its buffers would
 # pass _BLOCK_BYTES.  At the default two harmonics (dim 6) that first
-# happens at 45 rows.
+# happens at 61 rows.
 _BLOCK_STEPS = 128
 _BLOCK_BYTES = 12 << 20
 
@@ -83,9 +86,8 @@ def _block_steps(n_rows, dim):
     """Steps per block for ``n_rows`` rows of ``dim`` states.  Per step
     and row a block holds the prior and posterior states, (dim + 2) x
     dim each, the noise matrix, and the stacked test's copy and Cholesky
-    factor of both covariances, dim x dim each: dim (7 dim + 4)
-    doubles."""
-    step_bytes = n_rows * dim * (7 * dim + 4) * 8
+    factor of the posterior, dim x dim each: dim (5 dim + 4) doubles."""
+    step_bytes = n_rows * dim * (5 * dim + 4) * 8
     return max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // step_bytes))
 
 
@@ -202,21 +204,26 @@ def _block_passes(cov):
     """Whether no floor of :func:`_recondition` would fire in a block.
 
     ``cov`` holds the block's symmetric priors, then its posteriors,
-    shape ``(2, steps, rows, d, d)``.  All must be finite (numpy's
-    factorization does not reject NaN), and each minus 2e-12 times the
-    trace of its step's prior must have a Cholesky factor.  The trace
-    bounds the largest eigenvalue of a PSD matrix, and a posterior's
-    diagonal is never above its prior's, so a factor proves the smallest
-    eigenvalue above twice the floor: a matrix near the test's edge does
-    not fire either way.  The shift is subtracted from the diagonals of
-    a copy only, which leaves the entries off them as they are.
+    shape ``(2, steps, rows, d, d)``.  The posteriors must be finite
+    (numpy's factorization does not reject NaN); a prior that is not
+    leaves its posterior so.  No posterior's trace may be above its
+    prior's: the prior is its posterior plus (P h)(P h)' / s, PSD where
+    the innovation variance s = h' P h + meas_var is positive, but an
+    indefinite prior with s < 0 can leave a larger, definite posterior.
+    And each posterior minus 2e-12 times its prior's trace must have a
+    Cholesky factor.  The trace bounds the largest eigenvalue of a PSD
+    matrix, so the factor proves the smallest eigenvalues of posterior
+    and prior above twice the floor (Higham 2002, Thm 10.3): a matrix
+    near the test's edge does not fire either way.  The shift is
+    subtracted from the diagonals of a copy only.
     """
-    if not np.isfinite(cov).all():
+    post = cov[1]
+    prior_trace, post_trace = _diagonal(cov).sum(-1, keepdims=True)
+    if not (np.isfinite(post).all() and (post_trace <= prior_trace).all()):
         return False
-    shifted = cov.copy()
+    shifted = post.copy()
     diagonals = _diagonal(shifted)
-    diagonals -= 2e-12 * np.maximum(_diagonal(cov[0]).sum(-1, keepdims=True),
-                                    1e-30)
+    diagonals -= 2e-12 * np.maximum(prior_trace, 1e-30)
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -258,11 +265,9 @@ def gp_estimate(times_s, z, cfg: GpConfig = GpConfig()) -> EstimateSeries:
     reconstruction (``recon``), the DC history, the first component of
     every harmonic block (``harmonic_cos``, one column per harmonic)
     and ``recondition_count``, the number of times the eigenvalue floor
-    fired.  The floor is tested by one stacked Cholesky call per block
-    of steps; only a block that fails it runs again, with the floor's
-    ``eigh`` at every step.  The outputs match the per-sample loop as
-    first written within 1e-10 of each one's largest magnitude, with an
-    equal count (a tolerance the tests pin), not bit for bit.  Raises
+    fired.  The outputs match the per-sample loop as first written
+    within 1e-10 of each one's largest magnitude, with an equal count (a
+    tolerance the tests pin), not bit for bit.  Raises
     :class:`EstimatorError` if the state runs away (see
     :func:`gp_estimate_batch`).
     """

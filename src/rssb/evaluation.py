@@ -9,6 +9,7 @@ results are reported.
 
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -239,8 +240,9 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
     The (SNR, seed) cells are split into contiguous chunks, a multiple
     of ``jobs`` of them, run by ``jobs`` processes.  Within a chunk, each
     method runs once per batch of cells with identical timestamps.  The
-    processes are spawned, so a script that calls this with ``jobs > 1``
-    needs an ``if __name__ == "__main__":`` guard.
+    processes are spawned and run the main program again: it needs an
+    ``if __name__ == "__main__":`` guard, and one read from standard
+    input raises ValueError before they start.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
@@ -264,6 +266,13 @@ def snr_sweep(template: ScenarioConfig, snr_targets_db, n_seeds=25,
     tasks = [(template, cells[a:b], tuple(methods))
              for a, b in zip(bounds, bounds[1:]) if b > a]
     if jobs > 1:
+        main_file = getattr(sys.modules["__main__"], "__file__", None)
+        if main_file is not None and not os.path.isfile(main_file):
+            raise ValueError(
+                f"snr_sweep(jobs={jobs}) spawns workers that run the main "
+                f"program again, and {main_file!r} names no file: run it "
+                "from a file with an `if __name__ == \"__main__\":` guard, "
+                "or pass jobs=1")
         # forked from a parent whose BLAS threads run, workers stalled at
         # random on two cores: spawn them, each with one BLAS thread
         import multiprocessing

@@ -220,12 +220,11 @@ def read_csv_columns(path, header, empty_message, types):
     Blank lines are skipped; every other line must hold one field per
     type, a float field must be finite and an int field must fit in 64
     bits.  A wrong header, a malformed row (reported by line number) and
-    a file without rows raise ValueError.  Numeric columns of a seekable
-    file are read by numpy's text reader; a file it cannot read is read
-    again line by line, which accepts what ``float`` and ``int`` accept
-    and names the first bad row.
+    a file without rows raise ValueError.  Numeric columns of seekable
+    plain number text are read by numpy's text reader; other text, or
+    text it fails on, is parsed one line at a time, which accepts what
+    ``float`` and ``int`` accept and names the first bad row.
     """
-    columns = [[] for _ in types]
     with open(path) as fh:
         found = fh.readline().strip()
         if found != header:
@@ -235,26 +234,12 @@ def read_csv_columns(path, header, empty_message, types):
             if numbers := _load_plain_numbers(fh, types):
                 return numbers
             fh.seek(start)
-        lineno = 2
-        # Lines are parsed a block at a time, which is faster than a loop
-        # per row.  A block that fails is parsed again, by the same
-        # function, one line at a time to name the first bad line.
-        while lines := fh.readlines(1 << 16):
-            try:
-                block = _parse_rows(lines, types)
-            except ValueError:
-                for i, line in enumerate(lines, start=lineno):
-                    try:
-                        _parse_rows([line], types)
-                    except ValueError as exc:
-                        raise ValueError(f"{path}: malformed row {i}: {exc}") from exc
-                raise
-            for column, values in zip(columns, block):
-                column.extend(values)
-            lineno += len(lines)
-    if not columns[0]:
+        rows = [_parse_row(path, lineno, row, types)
+                for lineno, line in enumerate(fh, start=2)
+                if (row := line.strip())]
+    if not rows:
         raise ValueError(f"{path}: {empty_message}")
-    return columns
+    return [list(column) for column in zip(*rows)]
 
 
 def _load_plain_numbers(fh, types):
@@ -288,23 +273,23 @@ def _load_plain_numbers(fh, types):
     return columns if finite else None
 
 
-def _parse_rows(lines, types):
-    """Columns of the non-blank ``lines``, each line holding one field per
-    type and each field converted by its type, floats finite and integers
-    within 64 bits; ValueError otherwise."""
-    rows = [line for line in map(str.strip, lines) if line]
-    n = len(types)
-    if any(row.count(",") != n - 1 for row in rows):
-        raise ValueError(f"expected {n} fields")
-    flat = ",".join(rows).split(",") if rows else []
-    columns = [list(map(t, flat[i::n])) for i, t in enumerate(types)]
-    for t, column in zip(types, columns):
-        if t is float and not all(map(math.isfinite, column)):
-            raise ValueError("values must be finite")
-        if t is int and column and not (-2**63 <= min(column)
-                                        and max(column) < 2**63):
-            raise ValueError("integers must fit in 64 bits")
-    return columns
+def _parse_row(path, lineno, row, types):
+    """The fields of ``row``, line ``lineno`` of ``path`` stripped, one per
+    type, each converted by its type, floats finite and integers within
+    64 bits; a ValueError naming the line otherwise."""
+    fields = row.split(",")
+    try:
+        if len(fields) != len(types):
+            raise ValueError(f"expected {len(types)} fields")
+        values = [t(field) for t, field in zip(types, fields)]
+        for t, value in zip(types, values):
+            if t is float and not math.isfinite(value):
+                raise ValueError("values must be finite")
+            if t is int and not -2**63 <= value < 2**63:
+                raise ValueError("integers must fit in 64 bits")
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed row {lineno}: {exc}") from exc
+    return values
 
 
 def _reflection_path(scenario: ScenarioConfig, t):

@@ -443,18 +443,30 @@ edge_draws = st.tuples(st.integers(0, 2**32 - 1), st.floats(-45.0, 3.0),
 
 @settings(max_examples=200, deadline=None)
 @given(dim=st.sampled_from([4, 6, 8]),
-       draws=st.lists(edge_draws, min_size=1, max_size=3))
-@example(dim=6, draws=[(0, -20.0, -10.5, False), (1, -3.0, -10.0, False)])
-def test_passing_block_check_means_no_gate_fires(dim, draws):
+       draws=st.lists(edge_draws, min_size=1, max_size=3),
+       dip=st.just(0.0) | st.floats(0.0, 2.0),
+       log_noise=st.none() | st.floats(-14.0, 1.0))
+@example(dim=6, draws=[(0, -20.0, -10.5, False), (1, -3.0, -10.0, False)],
+         dip=0.0, log_noise=None)
+# the prior I - 1.5 h h' / |h|^2 is indefinite, s = h' P h + 1 = -2 < 0,
+# and its posterior I - h h' / 8 is definite: only the trace order fails it
+@example(dim=6, draws=[(0, 0.0, 0.0, False)], dip=1.5, log_noise=0.0)
+def test_passing_block_check_means_no_gate_fires(dim, draws, dip, log_noise):
     # a block of one step per draw: its prior is the draw symmetrized,
-    # its posterior that prior after a measurement update; whenever the
-    # stacked check passes, each gate leaves its matrix and count alone
+    # less dip times the draw's scale along h, which leaves it indefinite
+    # from a dip of 1; its posterior is that prior after a measurement
+    # update with s = h' P h + 10**log_noise times the scale, or with
+    # s = 2 h' P h.  Whenever the stacked check passes, each gate leaves
+    # its matrix and count alone
     sym = np.array([near_floor_covariance(dim, *draw) for draw in draws])
     sym = (sym + sym.mT) / 2
     h_row = np.ones(dim)
+    scales = 10.0 ** np.array([draw[1] for draw in draws])[:, None, None]
+    sym -= dip * scales * np.outer(h_row, h_row) / dim
     ph = np.matvec(sym, h_row)
-    post = sym - ph[:, :, None] * ph[:, None] / (
-        2 * np.vecdot(ph, h_row))[:, None, None]
+    hph = np.vecdot(ph, h_row)[:, None, None]
+    s = 2 * hph if log_noise is None else hph + 10.0 ** log_noise * scales
+    post = sym - ph[:, :, None] * ph[:, None] / s
     cov = np.stack([sym, post])[:, :, None]
     if not _block_passes(cov):
         return

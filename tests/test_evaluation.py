@@ -251,18 +251,39 @@ if __name__ == "__main__":
 """
 
 
+def sweep_env():
+    """This environment with rssb importable and no BLAS variable."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(rssb.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    return env
+
+
 def test_guarded_script_sweeps_in_spawned_workers(tmp_path):
     # the workers are spawned and import the script again, under a name
     # that the guard keeps from sweeping; the script's environment, with
     # no BLAS variable, is given back once they are done
     script = tmp_path / "sweep.py"
     script.write_text(GUARDED_SWEEP)
-    env = {key: value for key, value in os.environ.items()
-           if key != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(rssb.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, str(script)], env=env, check=True,
-                         capture_output=True, text=True).stdout.splitlines()
+    out = subprocess.run([sys.executable, str(script)], env=sweep_env(),
+                         check=True, capture_output=True,
+                         text=True).stdout.splitlines()
     assert json.loads(out[0]) == snr_sweep(bed_scenario(duration_s=40.0),
                                            [-12.0, -18.0], n_seeds=2)
     assert out[1] == "False"
+
+
+def test_sweep_from_standard_input_names_the_fix():
+    # a program read from standard input has no file that spawned
+    # workers could run again: the sweep refuses before any starts
+    run = subprocess.run([sys.executable, "-"], input=GUARDED_SWEEP,
+                         env=sweep_env(), capture_output=True, text=True)
+    assert run.returncode == 1
+    assert "BrokenProcessPool" not in run.stderr
+    errors = [line for line in run.stderr.splitlines()
+              if line.startswith("ValueError")]
+    assert errors == [
+        "ValueError: snr_sweep(jobs=2) spawns workers that run the main "
+        "program again, and '<stdin>' names no file: run it from a file "
+        'with an `if __name__ == "__main__":` guard, or pass jobs=1']

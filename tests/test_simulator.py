@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rssb import simulator
 from rssb.config import to_dict
 from rssb.dsp import is_uniform, resample_uniform
 from rssb.geometry import (C_LIGHT, DegenerateGeometryError, LinkGeometry,
@@ -411,6 +412,26 @@ def test_csv_load_reads_a_pipe(tmp_path):
     assert np.array_equal(loaded.times_s, want.times_s)
     assert np.array_equal(loaded.channel_ids, want.channel_ids)
     assert np.array_equal(loaded.values_db, want.values_db)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_saved_trace_loads_without_the_per_line_parser(tmp_path, monkeypatch,
+                                                       seed):
+    # a trace that save_csv wrote, the bundled 16-channel example with
+    # drops among them, is plain number text, which numpy's reader takes
+    # whole; the per-line parser is only for other text
+    def per_line(path, lineno, row, types):
+        raise AssertionError(f"parsed line {lineno} alone: {row!r}")
+
+    monkeypatch.setattr(simulator, "_parse_row", per_line)
+    trace = synthesize(replace(load_scenario(example_scenario_path()),
+                               drop_prob=0.1), seed=seed)
+    assert len(trace.channels()) == 16
+    trace.save_csv(tmp_path / "trace.csv")
+    loaded = RssTrace.load_csv(tmp_path / "trace.csv")
+    for channel in range(16):
+        assert np.array_equal(loaded.for_channel(channel),
+                              trace.for_channel(channel))
 
 
 @pytest.mark.parametrize("drop_prob", [0.0, 0.1])
